@@ -316,7 +316,6 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
             timeout_s=timeout_s,
             retries=retries,
             max_worker_restarts=max_worker_restarts,
-            flush_interval_s=getattr(args, "flush_interval", 0.0) or 0.0,
         )
         result = engine.run()
         if hub is not None:
@@ -1058,12 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "worker-death respawns (default 8); "
                                   "deliberate --timeout kills are not "
                                   "counted")
-        command.add_argument("--flush-interval", type=float, default=0.0,
-                             metavar="SECONDS",
-                             help="batch atomic checkpoint flushes to at "
-                                  "most one per SECONDS (default 0: every "
-                                  "completed experiment flushes before the "
-                                  "campaign moves on)")
         command.add_argument("--verbose", action="store_true")
         command.add_argument("--progress-interval", type=float, default=0.0,
                              metavar="SECONDS",

@@ -208,8 +208,7 @@ class Campaign:
             timeout_s: Optional[float] = None,
             retries: Optional[int] = None,
             max_worker_restarts: Optional[int] = None,
-            quarantine_path: Optional[str] = None,
-            flush_interval_s: float = 0.0) -> CampaignResult:
+            quarantine_path: Optional[str] = None) -> CampaignResult:
         """Execute every experiment in the plan.
 
         Execution is delegated to the :class:`~repro.engine.runner.
@@ -238,8 +237,7 @@ class Campaign:
         engine's supervision layer (watchdog timeouts, retry with backoff,
         poison-spec quarantine — see
         :class:`~repro.engine.supervisor.RunPolicy`); ``quarantine_path``
-        overrides the quarantine log location and ``flush_interval_s``
-        batches the atomic checkpoint flushes.
+        overrides the quarantine log location.
         """
         # Imported here: the engine returns this module's CampaignResult, so a
         # top-level import would be circular.
@@ -269,7 +267,6 @@ class Campaign:
             retries=retries,
             max_worker_restarts=max_worker_restarts,
             quarantine_path=quarantine_path,
-            flush_interval_s=flush_interval_s,
         )
         campaign_result = engine.run()
         if golden:

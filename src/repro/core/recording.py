@@ -199,17 +199,64 @@ class RecordStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self.path)
+        self._fsync_parent()
+        return count
+
+    def append_durable(self, record: ExperimentRecord) -> None:
+        """Append one record and fsync it before returning.
+
+        The O(1) commit path of a checkpoint journal: one line, one
+        ``write``, one fsync, whatever the store already holds. The append
+        that creates the file also fsyncs the directory, so the new entry
+        survives a crash as a :meth:`replace_all` rename does. A kill
+        mid-append can leave a partial last line, or a whole record without
+        its newline; :meth:`repair_tail` fixes either in place before the
+        next append.
+        """
+        data = memoryview((record.to_json() + "\n").encode("utf-8"))
+        flags = os.O_WRONLY | os.O_APPEND
+        try:
+            fd = os.open(self.path, flags)
+            created = False
+        except FileNotFoundError:
+            self._ensure_parent()
+            fd = os.open(self.path, flags | os.O_CREAT, 0o666)
+            created = True
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        if created:
+            self._fsync_parent()
+
+    def repair_tail(self, size: int, *, add_newline: bool = False) -> None:
+        """Cut the store to its first ``size`` bytes in place and fsync.
+
+        ``add_newline`` then ends the file with the newline a killed append
+        did not write. Nothing before ``size`` is rewritten.
+        """
+        with self.path.open("r+b") as handle:
+            handle.truncate(size)
+            if add_newline:
+                handle.seek(size)
+                handle.write(b"\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+
+    def _fsync_parent(self) -> None:
+        """Best-effort fsync of the directory, making a new entry durable."""
         try:
             parent_fd = os.open(self.path.parent, os.O_RDONLY)
         except OSError:
-            return count
+            return
         try:
             os.fsync(parent_fd)
         except OSError:
             pass
         finally:
             os.close(parent_fd)
-        return count
 
     def iter_records(self, *, errors: str = "strict") -> Iterator[ExperimentRecord]:
         """Stream records line by line without materializing the file.

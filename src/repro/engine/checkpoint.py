@@ -5,10 +5,12 @@ and intensity); losing a run to a crash or preemption means re-paying all of
 it. The engine therefore streams every completed
 :class:`~repro.core.recording.ExperimentRecord` to a JSON-Lines checkpoint
 (a plain :class:`~repro.core.recording.RecordStore` file — the same format
-``--output`` and the analysis layer use), flushed **atomically** (temp file
-+ fsync + rename, see :meth:`Checkpoint.flush`) so even a SIGKILL mid-write
-leaves a complete, loadable file, and on resume skips every spec whose
-record is already present.
+``--output`` and the analysis layer use). Each commit appends one line and
+fsyncs it before the engine moves on, so a commit costs the same at the
+first record as at the ten-thousandth, and on resume every spec whose record
+is already present is skipped. A SIGKILL mid-append can only damage the last
+line; :meth:`Checkpoint.load` repairs that tail in place before the next
+append (see there).
 
 Completed work is keyed on :meth:`ExperimentSpec.identity` — a hash of name,
 seed, scenario, and the injection setup — which the checkpoint stamps into
@@ -27,7 +29,6 @@ double-counts.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
@@ -35,7 +36,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.experiment import ExperimentResult, ExperimentSpec
 from repro.core.plan import TestPlan
 from repro.core.recording import ExperimentRecord, RecordStore
-from repro.errors import AnalysisError, CampaignError, RecordSchemaError
+from repro.errors import AnalysisError, RecordSchemaError
 
 #: Fallback identity for records without a ``spec_id`` stamp.
 _Triple = Tuple[str, int, str]
@@ -44,30 +45,21 @@ _Triple = Tuple[str, int, str]
 class Checkpoint:
     """Crash-safe record of completed specs, enabling resume.
 
-    Commits are buffered in memory and persisted by :meth:`flush`, which
-    writes the *whole* record set to a temp file, fsyncs, and renames it over
-    the checkpoint — so the on-disk file is always a complete, valid
-    JSON-Lines document and a SIGKILL at any instant loses at most the
-    commits since the last flush (none at all with the default
-    ``flush_interval_s=0``, which flushes on every commit like the paper's
-    minute-long tests want). ``flush_interval_s > 0`` batches flushes for
-    campaigns of very short experiments, where an atomic rewrite per
-    completion would dominate.
+    The file is a journal in commit order: :meth:`commit` appends one
+    fsynced line (:meth:`~repro.core.recording.RecordStore.append_durable`)
+    and returns only once it is on disk, so a SIGKILL at any instant loses
+    no returned commit. Commits append to whatever the file holds; open it
+    with :meth:`load` (resume) or :meth:`clear` (fresh run) first. The whole
+    file is rewritten (temp file + fsync + rename) only where the record set
+    itself changes, at most once per campaign: :meth:`clear`,
+    :meth:`prune_stale` when it drops records, and :meth:`replace_records`.
     """
 
-    def __init__(self, path: "str | Path", *,
-                 flush_interval_s: float = 0.0) -> None:
-        if flush_interval_s < 0:
-            raise CampaignError(
-                f"flush interval must be >= 0, got {flush_interval_s}")
+    def __init__(self, path: "str | Path") -> None:
         self.store = RecordStore(path)
-        self.flush_interval_s = flush_interval_s
-        #: How many atomic flushes hit the disk (telemetry reads this).
+        #: Durable writes made: one per commit, one per
+        #: :meth:`replace_records`.
         self.flushes = 0
-        self._dirty = False
-        # The interval clock starts now, so a batched checkpoint's first
-        # flush happens one full interval in, not on the first commit.
-        self._last_flush = time.monotonic()
         self._records: List[ExperimentRecord] = []
         self._records_by_id: Dict[str, ExperimentRecord] = {}
         self._records_by_triple: Dict[_Triple, ExperimentRecord] = {}
@@ -81,36 +73,45 @@ class Checkpoint:
     def load(self) -> int:
         """Read existing records from disk; returns how many were found.
 
-        A campaign killed mid-append leaves a torn final line; that is the
-        exact crash resume exists for, so the torn tail is discarded (its
-        spec simply re-runs) and the file is rewritten without it so later
-        appends do not merge into the partial line. Malformed records
-        *before* the last line mean real corruption and still raise.
+        A campaign killed mid-append leaves one of two tails, and both are
+        the exact crash resume exists for. A partial last line is cut off in
+        place (its spec simply re-runs); a complete last record missing its
+        newline gets the newline. Either way the repair is fsynced before
+        the next append, which would otherwise glue a new record onto the
+        damaged line. Malformed records *before* the last line mean real
+        corruption and still raise.
         """
         path = self.store.path
         if not path.exists():
             return 0
-        with path.open("r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        lines = [line for line in lines if line]
         records: List[ExperimentRecord] = []
-        torn_tail = False
-        for position, line in enumerate(lines):
-            try:
-                records.append(ExperimentRecord.from_json(line))
-            except RecordSchemaError:
-                # A record stamped with a newer schema_version is a valid
-                # record this tooling is too old to read — not a torn
-                # write; discarding it would destroy data, so resume
-                # refuses even when it is the last line.
-                raise
-            except AnalysisError:
-                if position == len(lines) - 1:
-                    torn_tail = True
-                else:
+        # A line that did not parse: (line number, byte offset, error). It is
+        # a torn tail only if no record follows it.
+        damaged = None
+        line, end = b"", 0
+        with path.open("rb") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                start, end = end, end + len(line)
+                if not line.strip():
+                    continue
+                if damaged is not None:
+                    bad_lineno, _, exc = damaged
+                    raise AnalysisError(f"{path}:{bad_lineno}: {exc}") from exc
+                try:
+                    records.append(
+                        ExperimentRecord.from_json(line.decode("utf-8")))
+                except RecordSchemaError:
+                    # A record stamped with a newer schema_version is a valid
+                    # record this tooling is too old to read — not a torn
+                    # write; discarding it would destroy data, so resume
+                    # refuses even when it is the last line.
                     raise
-        if torn_tail:
-            self.store.replace_all(records)
+                except (AnalysisError, UnicodeDecodeError) as exc:
+                    damaged = (lineno, start, exc)
+        if damaged is not None:
+            self.store.repair_tail(damaged[1])
+        elif end and not line.endswith(b"\n"):
+            self.store.repair_tail(end, add_newline=True)
         for record in records:
             self._remember(record)
         return len(records)
@@ -129,7 +130,6 @@ class Checkpoint:
         self._records.clear()
         self._records_by_id.clear()
         self._records_by_triple.clear()
-        self._dirty = False
 
     def prune_stale(self, plan: TestPlan) -> int:
         """Reconcile the checkpoint with the plan it is resuming.
@@ -237,38 +237,26 @@ class Checkpoint:
 
         Called from the parent process only (workers hand results back over
         the pool), so commits never interleave. The record is stamped with
-        the spec identity so a later resume matches on the strong key. The
-        commit is buffered and flushed per :attr:`flush_interval_s` — with
-        the default of ``0`` every commit reaches the disk atomically before
-        this returns.
+        the spec identity so a later resume matches on the strong key, and
+        is on disk before this returns.
         """
         record = ExperimentRecord.from_result(result)
-        record = replace(
+        return self.commit_record(replace(
             record, extras={**record.extras, "spec_id": spec.identity()}
-        )
-        self._remember(record)
-        self._dirty = True
-        if (self.flush_interval_s <= 0
-                or time.monotonic() - self._last_flush
-                >= self.flush_interval_s):
-            self.flush()
-        return record
+        ))
 
     def commit_record(self, record: ExperimentRecord) -> ExperimentRecord:
-        """Buffer one already-built record (the fleet result-merge path).
+        """Durably append one already-built record.
 
-        The coordinator receives records over the wire with their
-        ``spec_id`` stamps already applied by the worker that executed them;
-        this commits one as-is, with the same interval-batched atomic flush
-        contract as :meth:`commit`. The caller is responsible for dedup —
-        committing two records with the same identity stores both.
+        The fleet coordinator's result-merge path: records arrive over the
+        wire with their ``spec_id`` stamps already applied by the worker
+        that executed them, and are committed as-is, with the same contract
+        as :meth:`commit`. The caller is responsible for dedup — committing
+        two records with the same identity stores both.
         """
+        self.store.append_durable(record)
         self._remember(record)
-        self._dirty = True
-        if (self.flush_interval_s <= 0
-                or time.monotonic() - self._last_flush
-                >= self.flush_interval_s):
-            self.flush()
+        self.flushes += 1
         return record
 
     def replace_records(self, records: List[ExperimentRecord]) -> None:
@@ -276,8 +264,8 @@ class Checkpoint:
 
         Used by the coordinator to finalize a campaign's merged store in
         plan order: the in-memory indexes are rebuilt and the file is
-        rewritten through the same :meth:`~repro.core.recording.RecordStore.
-        replace_all` temp-file + fsync + rename path every other flush uses.
+        rewritten through :meth:`~repro.core.recording.RecordStore.
+        replace_all` (temp file + fsync + rename).
         """
         self._records = list(records)
         self._records_by_id = {
@@ -288,28 +276,5 @@ class Checkpoint:
             (record.spec_name, record.seed, record.scenario): record
             for record in self._records
         }
-        self._last_flush = time.monotonic()
         self.store.replace_all(self._records)
-        self._dirty = False
         self.flushes += 1
-
-    @property
-    def dirty(self) -> bool:
-        """Whether commits are buffered that have not reached the disk."""
-        return self._dirty
-
-    def flush(self) -> bool:
-        """Atomically persist all buffered commits; ``True`` if it wrote.
-
-        The whole record set is rewritten through
-        :meth:`~repro.core.recording.RecordStore.replace_all` (temp file +
-        fsync + rename), so a crash — even SIGKILL — at any instant leaves
-        either the previous complete checkpoint or the new one on disk.
-        """
-        self._last_flush = time.monotonic()
-        if not self._dirty:
-            return False
-        self.store.replace_all(self._records)
-        self._dirty = False
-        self.flushes += 1
-        return True

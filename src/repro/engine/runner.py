@@ -85,8 +85,7 @@ class CampaignEngine:
                  timeout_s: Optional[float] = None,
                  retries: Optional[int] = None,
                  max_worker_restarts: Optional[int] = None,
-                 quarantine_path: Optional[str] = None,
-                 flush_interval_s: float = 0.0) -> None:
+                 quarantine_path: Optional[str] = None) -> None:
         plan.validate()
         if resume and checkpoint_path is None:
             raise CampaignError("resume requires a checkpoint path")
@@ -97,8 +96,8 @@ class CampaignEngine:
         self.sut_factory = resolve_sut_factory(sut_factory)
         self.classifier = classifier or OutcomeClassifier()
         self.checkpoint = (
-            Checkpoint(checkpoint_path, flush_interval_s=flush_interval_s)
-            if checkpoint_path is not None else None
+            Checkpoint(checkpoint_path) if checkpoint_path is not None
+            else None
         )
         self.resume = resume
         #: Fault-tolerance policy. ``None`` (no timeout/retry/restart knob
@@ -279,61 +278,50 @@ class CampaignEngine:
         # parent's telemetry bus; their lifecycle events are synthesized here
         # from the batch fields each result carries home.
         seen_batches: set = set()
-        try:
-            for index, result in stream:
-                slots[index] = result
-                if telemetry and result.batch_id is not None:
-                    if result.batch_id not in seen_batches:
-                        seen_batches.add(result.batch_id)
-                        telemetry.emit("batch_formed",
-                                       batch_id=result.batch_id,
-                                       lanes=result.batch_lanes)
-                    if result.batch_evicted:
-                        telemetry.emit("lane_evicted",
-                                       batch_id=result.batch_id,
-                                       spec=result.spec_name,
-                                       index=index,
-                                       step=result.batch_eviction_step)
-                # Quarantined specs are deliberately NOT committed: their
-                # synthesized infra results fill the campaign, but a resume
-                # must re-offer the spec, not restore a non-answer.
-                if (self.checkpoint is not None
-                        and not result.outcome.is_infrastructure):
-                    flushes = self.checkpoint.flushes
-                    self.checkpoint.commit(specs_by_index[index], result)
-                    if telemetry and self.checkpoint.flushes != flushes:
-                        telemetry.emit("checkpoint_flush",
-                                       path=str(self.checkpoint.path),
-                                       records=len(self.checkpoint))
-                snapshot = aggregator.update(result)
-                if telemetry:
-                    telemetry.emit(
-                        "experiment_complete",
-                        spec=result.spec_name,
-                        index=index,
-                        outcome=result.outcome.value,
-                        wall_s=result.wall_time,
-                        prefix_wall_s=result.prefix_wall_time,
-                        worker=result.worker_id,
-                        prefix_cache_hit=result.prefix_cache_hit,
-                        batch_id=result.batch_id,
-                        batch_evicted=result.batch_evicted,
-                        injections=result.injections,
-                        completed=snapshot.completed,
-                        queue_depth=total - snapshot.completed,
-                        throughput_per_s=snapshot.throughput,
-                    )
-                if self.progress is not None:
-                    self.progress(snapshot, result)
-        finally:
-            # Interval-batched commits must reach the disk even when the
-            # stream dies mid-campaign — that partial checkpoint is exactly
-            # what --resume picks up from.
-            if self.checkpoint is not None and self.checkpoint.flush():
+        for index, result in stream:
+            slots[index] = result
+            if telemetry and result.batch_id is not None:
+                if result.batch_id not in seen_batches:
+                    seen_batches.add(result.batch_id)
+                    telemetry.emit("batch_formed",
+                                   batch_id=result.batch_id,
+                                   lanes=result.batch_lanes)
+                if result.batch_evicted:
+                    telemetry.emit("lane_evicted",
+                                   batch_id=result.batch_id,
+                                   spec=result.spec_name,
+                                   index=index,
+                                   step=result.batch_eviction_step)
+            # Quarantined specs are deliberately NOT committed: their
+            # synthesized infra results fill the campaign, but a resume
+            # must re-offer the spec, not restore a non-answer.
+            if (self.checkpoint is not None
+                    and not result.outcome.is_infrastructure):
+                self.checkpoint.commit(specs_by_index[index], result)
                 if telemetry:
                     telemetry.emit("checkpoint_flush",
                                    path=str(self.checkpoint.path),
                                    records=len(self.checkpoint))
+            snapshot = aggregator.update(result)
+            if telemetry:
+                telemetry.emit(
+                    "experiment_complete",
+                    spec=result.spec_name,
+                    index=index,
+                    outcome=result.outcome.value,
+                    wall_s=result.wall_time,
+                    prefix_wall_s=result.prefix_wall_time,
+                    worker=result.worker_id,
+                    prefix_cache_hit=result.prefix_cache_hit,
+                    batch_id=result.batch_id,
+                    batch_evicted=result.batch_evicted,
+                    injections=result.injections,
+                    completed=snapshot.completed,
+                    queue_depth=total - snapshot.completed,
+                    throughput_per_s=snapshot.throughput,
+                )
+            if self.progress is not None:
+                self.progress(snapshot, result)
 
         if telemetry:
             final = aggregator.snapshot()

@@ -12,7 +12,7 @@ that layer:
   stealing, host quarantine;
 * :mod:`repro.fleet.coordinator` — ``repro-fi serve``: shard planning,
   lease granting, idempotent identity-keyed result merge, crash-safe state
-  (atomic checkpoints + ``state.json``), fleet telemetry events;
+  (checkpoint journals + ``state.json``), fleet telemetry events;
 * :mod:`repro.fleet.worker` — ``repro-fi fleet-worker``: the agent that
   leases shards and runs them through the ordinary campaign engine;
 * :mod:`repro.fleet.merge` — ``repro-fi merge``: offline cross-host record

@@ -11,9 +11,11 @@ back idempotently, deduplicated by spec identity.
 Durability is structural, not best-effort:
 
 * **Results** journal through the engine's :class:`~repro.engine.checkpoint.
-  Checkpoint` — every merge lands via the atomic ``RecordStore.replace_all``
-  temp-file + fsync + rename path, so a SIGKILLed coordinator leaves a
-  complete, loadable record store per campaign.
+  Checkpoint` — every merged record is appended and fsynced before the
+  submit is acknowledged, so a SIGKILLed coordinator leaves a loadable
+  record store per campaign (a torn last line is repaired on reload). When a
+  campaign completes, its store is rewritten once in plan order through the
+  atomic ``RecordStore.replace_all`` temp-file + fsync + rename path.
 * **Campaigns** journal to ``state.json`` (same atomic write pattern) as
   their declarative config dicts — the wire format doubles as the journal
   format.
@@ -498,12 +500,6 @@ class FleetCoordinator:
             return bool(self.campaigns) and all(
                 entry.done for entry in self.campaigns.values())
 
-    def flush(self) -> None:
-        """Flush every campaign checkpoint (shutdown path)."""
-        with self._lock:
-            for entry in self.campaigns.values():
-                entry.checkpoint.flush()
-
     def status(self) -> dict:
         with self._lock:
             campaigns = []
@@ -718,7 +714,6 @@ class FleetServer:
             self._thread.join(timeout=5.0)
         if self._sweeper is not None:
             self._sweeper.join(timeout=5.0)
-        self.coordinator.flush()
         self._server = None
         self._thread = None
         self._sweeper = None

@@ -1,11 +1,15 @@
 """Tests for checkpointing and killed-then-resumed campaigns."""
 
+import os
+from dataclasses import replace
+
 import pytest
 
+from repro.cli import main
 from repro.core.campaign import Campaign
 from repro.core.experiment import default_sut_factory
 from repro.core.plan import TestPlan, paper_figure3_plan
-from repro.core.recording import RecordStore
+from repro.core.recording import ExperimentRecord, RecordStore
 from repro.engine import CampaignEngine, Checkpoint
 
 
@@ -277,55 +281,113 @@ class TestAtomicFlush:
         spec, result = self._spec_and_result(plan, sequential)
         checkpoint.commit(spec, result)
         assert checkpoint.flushes == 1
-        assert not checkpoint.dirty
         assert len(RecordStore(checkpoint.path).load()) == 1
 
-    def test_flush_interval_batches_commits(self, plan, sequential, tmp_path):
-        checkpoint = Checkpoint(tmp_path / "run.jsonl",
-                                flush_interval_s=3600.0)
+    def test_every_commit_is_one_flush(self, plan, sequential, tmp_path):
+        checkpoint = Checkpoint(tmp_path / "run.jsonl")
         for index in range(3):
             spec, result = self._spec_and_result(plan, sequential, index)
             checkpoint.commit(spec, result)
-        # Nothing hit the disk yet; the records are buffered and dirty.
-        assert checkpoint.dirty
-        assert checkpoint.flushes == 0
-        assert not checkpoint.path.exists()
-        assert checkpoint.flush() is True
-        assert checkpoint.flushes == 1
-        assert not checkpoint.dirty
-        assert len(RecordStore(checkpoint.path).load()) == 3
-
-    def test_flush_is_idempotent_when_clean(self, plan, sequential, tmp_path):
-        checkpoint = Checkpoint(tmp_path / "run.jsonl")
-        spec, result = self._spec_and_result(plan, sequential)
-        checkpoint.commit(spec, result)
-        assert checkpoint.flush() is False       # nothing new to write
-        assert checkpoint.flushes == 1
+            # Nothing is buffered: the record is on disk when commit returns.
+            assert checkpoint.flushes == index + 1
+            assert len(RecordStore(checkpoint.path).load()) == index + 1
 
     def test_flush_replaces_the_file_atomically(self, plan, sequential,
                                                 tmp_path):
         path = tmp_path / "run.jsonl"
-        checkpoint = Checkpoint(path, flush_interval_s=3600.0)
-        for index in range(2):
-            spec, result = self._spec_and_result(plan, sequential, index)
-            checkpoint.commit(spec, result)
-        checkpoint.flush()
-        # The write path goes tmp + fsync + rename: no temp file survives
-        # and the target is a complete, parseable record file.
+        checkpoint = Checkpoint(path)
+        records = [
+            checkpoint.commit(*self._spec_and_result(plan, sequential, index))
+            for index in range(2)
+        ]
+        checkpoint.replace_records(records[::-1])
+        assert checkpoint.flushes == 3
+        # The rewrite goes tmp + fsync + rename: no temp file survives and
+        # the target is a complete, parseable record file.
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != path.name]
         assert leftovers == []
-        assert len(RecordStore(path).load()) == 2
+        assert RecordStore(path).load() == records[::-1]
 
-    def test_negative_flush_interval_is_rejected(self, tmp_path):
-        from repro.errors import CampaignError
-        with pytest.raises(CampaignError):
-            Checkpoint(tmp_path / "run.jsonl", flush_interval_s=-1.0)
 
-    def test_engine_flushes_batched_checkpoint_on_exit(self, plan, tmp_path):
+def _stamped(spec, result):
+    """The record a checkpoint commit writes for ``result``."""
+    record = ExperimentRecord.from_result(result)
+    return replace(record,
+                   extras={**record.extras, "spec_id": spec.identity()})
+
+
+def _no_rewrite(*args, **kwargs):
+    raise AssertionError("the checkpoint was rewritten (os.replace)")
+
+
+class TestJournal:
+    """A commit appends one line; it never rewrites what is on disk."""
+
+    @pytest.mark.parametrize("method", ["commit", "commit_record"])
+    def test_each_commit_extends_the_previous_bytes(self, plan, sequential,
+                                                    tmp_path, monkeypatch,
+                                                    method):
+        monkeypatch.setattr(os, "replace", _no_rewrite)
+        checkpoint = Checkpoint(tmp_path / "run.jsonl")
+        previous = b""
+        for spec, result in zip(plan.specs, sequential.results):
+            if method == "commit":
+                checkpoint.commit(spec, result)
+            else:
+                checkpoint.commit_record(_stamped(spec, result))
+            current = checkpoint.path.read_bytes()
+            assert current.startswith(previous)
+            assert len(current) > len(previous)
+            previous = current
+        assert len(RecordStore(checkpoint.path).load()) == len(plan)
+
+    def test_fresh_checkpoint_is_the_plan_order_record_lines(self, plan,
+                                                             tmp_path):
         path = tmp_path / "run.jsonl"
-        engine = CampaignEngine(plan, checkpoint_path=str(path),
-                                flush_interval_s=3600.0)
-        engine.run()
-        # Every record was buffered during the run; the engine's final flush
-        # must land all of them even though the interval never elapsed.
-        assert len(RecordStore(path).load()) == len(plan)
+        result = CampaignEngine(plan, jobs=1, checkpoint_path=str(path)).run()
+        lines = [_stamped(spec, outcome).to_json()
+                 for spec, outcome in zip(plan.specs, result.results)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestDamagedTail:
+    """A SIGKILL mid-append leaves a partial line or a newline-less record;
+    resume must repair either in place before appending after it."""
+
+    @staticmethod
+    def _resume(path):
+        return main(["run", "high-nonroot", "--tests", "4",
+                     "--resume", str(path)])
+
+    @pytest.fixture(scope="class")
+    def whole(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("whole") / "ck.jsonl"
+        assert self._resume(path) == 0
+        return path.read_bytes()
+
+    def test_record_missing_its_newline_is_not_glued_to(self, whole,
+                                                        tmp_path):
+        lines = whole.split(b"\n")
+        path = tmp_path / "ck.jsonl"
+        path.write_bytes(lines[0] + b"\n" + lines[1])
+        inode = path.stat().st_ino
+        # Both runs must succeed: a glued line would make the second fail.
+        assert self._resume(path) == 0
+        assert self._resume(path) == 0
+        assert path.read_bytes() == whole
+        # Repaired and extended in place, never rewritten.
+        assert path.stat().st_ino == inode
+
+    def test_partial_last_line_is_truncated_not_rewritten(self, whole,
+                                                          tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "ck.jsonl"
+        path.write_bytes(whole[:-40])
+        inode = path.stat().st_ino
+        with monkeypatch.context() as patched:
+            patched.setattr(os, "replace", _no_rewrite)
+            assert Checkpoint(path).load() == 3
+        assert path.stat().st_ino == inode
+        assert path.read_bytes() == b"\n".join(whole.split(b"\n")[:3]) + b"\n"
+        assert self._resume(path) == 0
+        assert path.read_bytes() == whole

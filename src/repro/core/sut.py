@@ -409,6 +409,8 @@ class JailhouseSUT(SystemUnderTest):
         handlers = hypervisor.handlers
         gic_pending = board.gic.pending_view()
         online = CpuState.ONLINE
+        running = GuestState.RUNNING
+        handled = TrapResult.HANDLED
         panicked_state = HypervisorState.PANICKED
         board.advance(dt)
         now = board.clock.now
@@ -420,13 +422,13 @@ class JailhouseSUT(SystemUnderTest):
             if cell is None or not cell.state.is_running:
                 continue
             guest = cell.guest
-            if guest is None or guest.state is not GuestState.RUNNING:
+            if guest is None or guest.state is not running:
                 continue
             # Pending interrupts enter through irqchip_handle_irq().
             if gic_pending[cpu_id]:
                 context = cpu.enter_trap("irq", 0, timestamp=now)
                 result = handlers.irqchip_handle_irq(cpu, context)
-                if result is TrapResult.HANDLED:
+                if result is handled:
                     follow_up = guest.resume_from_trap(cpu_id, context)
                     if follow_up is not None:
                         self._dispatch_guest_event(cpu_id, guest, follow_up, depth=1)

@@ -407,53 +407,6 @@ def _run_item(item: WorkItem, sut_factory: SutFactory,
     return item.index, result
 
 
-def _run_chunk(chunk: Sequence[WorkItem]) -> List[IndexedResult]:
-    """Pool task: run one chunk inside a worker process."""
-    sut_factory = _WORKER_STATE["sut_factory"]
-    classifier = _WORKER_STATE["classifier"]
-    prefix_cache = _WORKER_STATE.get("prefix_cache")
-    batch_size = _WORKER_STATE.get("batch_size")
-    if batch_size and prefix_cache is not None:
-        return _run_chunk_batched(chunk, sut_factory, classifier,
-                                  prefix_cache, batch_size)
-    return [_run_item(item, sut_factory, classifier, prefix_cache)
-            for item in chunk]
-
-
-def _run_chunk_batched(chunk: Sequence[WorkItem],
-                       sut_factory: SutFactory,
-                       classifier: OutcomeClassifier,
-                       cache: PrefixSnapshotCache,
-                       batch_size: int) -> List[IndexedResult]:
-    """Pool task with lockstep batching: regroup the chunk into families.
-
-    ``shard_families`` already hands out family-contiguous chunks, so the
-    regrouping is a cheap pass; each family's batchable members run through
-    :func:`_run_family_batched` and everything else (lifecycle/park
-    scenarios, cold boots, singleton leftovers) takes the scalar path. A
-    violated lockstep invariant falls back to scalar for the whole family —
-    correctness never depends on the batch succeeding.
-    """
-    results: List[IndexedResult] = []
-    for family in group_by_prefix(chunk, sut_token=cache.sut_token):
-        batches, scalar_items = plan_family_batches(
-            family, batch_size, batchable_spec)
-        batched = None
-        if batches:
-            try:
-                batched = _run_family_batched(batches, sut_factory,
-                                              classifier, cache)
-            except BatchDivergenceError:
-                _reset_worker_state(sut_factory, cache)
-        if batched is None:
-            scalar_items = family.items
-        else:
-            results.extend(batched)
-        for item in scalar_items:
-            results.append(_run_item(item, sut_factory, classifier, cache))
-    return results
-
-
 class _SerialTimeout(Exception):
     """Raised by the SIGALRM watchdog inside an in-process experiment."""
 

@@ -43,6 +43,11 @@ DEFAULT_STACK_USE_PROBABILITY = 0.35
 #: before overwriting it with a new call.
 DEFAULT_LINK_RETURN_PROBABILITY = 0.10
 
+# Enum members read on every step and trap resume, bound once: on CPython 3.11
+# the enum metaclass's ``__getattr__`` makes each member lookup cost ~40 ns.
+_PC, _SP, _LR = Register.PC, Register.SP, Register.LR
+_WRITE = AccessType.WRITE
+
 
 class GuestState(enum.Enum):
     """Lifecycle state of a guest model."""
@@ -76,7 +81,15 @@ class GuestStats:
 
 
 class GuestOS(abc.ABC):
-    """Base class for guest OS models."""
+    """Base class for guest OS models.
+
+    RNG contract: every random draw a guest makes consumes its numpy
+    stream (``self.rng``) exactly as :class:`numpy.random.Generator` would.
+    Bounded integers come from :meth:`draw_int`, which returns the value
+    ``Generator.integers`` would return and leaves the same
+    ``bit_generator.state`` behind, so records, snapshots and restores do
+    not depend on which of the two made a draw.
+    """
 
     def __init__(self, name: str, *, seed: int = 0,
                  stack_use_probability: float = DEFAULT_STACK_USE_PROBABILITY,
@@ -168,7 +181,7 @@ class GuestOS(abc.ABC):
         memory_map = self.cell.memory_map
         registers = context.registers
 
-        pc = registers[Register.PC]
+        pc = registers[_PC]
         if not memory_map.is_executable(pc):
             self.stats.faults_after_resume += 1
             return GuestEvent(
@@ -178,8 +191,8 @@ class GuestOS(abc.ABC):
                 description=f"instruction fetch from unmapped 0x{pc:08x}",
             )
 
-        sp = registers[Register.SP]
-        if not memory_map.is_mapped(sp, 4, AccessType.WRITE):
+        sp = registers[_SP]
+        if not memory_map.is_mapped(sp, 4, _WRITE):
             if self.rng.random() < self.stack_use_probability:
                 self.stats.faults_after_resume += 1
                 return GuestEvent(
@@ -192,7 +205,7 @@ class GuestOS(abc.ABC):
             # corrupted value is ever dereferenced.
             self._restore_stack_pointer(cpu_id)
 
-        lr = registers[Register.LR]
+        lr = registers[_LR]
         if not memory_map.is_executable(lr):
             if self.rng.random() < self.link_return_probability:
                 self.stats.faults_after_resume += 1
@@ -228,6 +241,27 @@ class GuestOS(abc.ABC):
             return
         self.board.cpus[cpu_id].registers.load_masked(values)
 
+    def draw_int(self, low: int, high: int) -> int:
+        """``int(self.rng.integers(low, high))``, without the numpy call overhead.
+
+        numpy's own algorithm for ranges that fit in 32 bits: Lemire's
+        bounded method over the bit generator's ``next_uint32``, which
+        shares PCG64's buffered half-word with every other draw. The value
+        and the stream state afterwards are those of ``Generator.integers``.
+        Requires ``2 <= high - low <= 2**32``; callers check their bounds
+        once, not per draw.
+        """
+        bitgen = self.rng.bit_generator.ctypes
+        next_uint32 = bitgen.next_uint32
+        state = bitgen.state
+        span = high - low
+        product = next_uint32(state) * span
+        if (product & 0xFFFFFFFF) < span:
+            threshold = 0x100000000 % span
+            while (product & 0xFFFFFFFF) < threshold:
+                product = next_uint32(state) * span
+        return low + (product >> 32)
+
     def nominal_registers(self, cpu_id: int) -> Dict[Register, int]:
         """Plausible architectural state for this guest while it executes."""
         cell = self.cell
@@ -242,18 +276,25 @@ class GuestOS(abc.ABC):
                 return {}
             first = ram[0]
             size = first.size
+            code_hi = max(0x200, size // 4)
+            stack_lo, stack_hi = size // 2, size - 0x100
+            # draw_int's domain; the code range (0x100 values or a quarter
+            # of RAM) is inside it whenever the stack range (half) is.
+            if not 2 <= stack_hi - stack_lo <= 1 << 32:
+                raise ValueError(
+                    f"guest {self.name!r}: RAM size 0x{size:x} gives no "
+                    f"register draw range of 2 to 2**32 values"
+                )
             cached = self._nominal_bounds = (
-                cell, first.virt_start, size,
-                max(0x200, size // 4), size // 2, size - 0x100,
+                cell, first.virt_start, size, code_hi, stack_lo, stack_hi,
             )
         _, base, size, code_hi, stack_lo, stack_hi = cached
-        rng = self.rng
-        code_offset = int(rng.integers(0x100, code_hi)) & ~0x3
-        stack_offset = int(rng.integers(stack_lo, stack_hi)) & ~0x7
+        code_offset = self.draw_int(0x100, code_hi) & ~0x3
+        stack_offset = self.draw_int(stack_lo, stack_hi) & ~0x7
         return {
-            Register.PC: base + code_offset,
-            Register.SP: base + stack_offset,
-            Register.LR: base + ((code_offset + 0x40) % size),
+            _PC: base + code_offset,
+            _SP: base + stack_offset,
+            _LR: base + ((code_offset + 0x40) % size),
         }
 
     def crash(self, reason: str) -> None:

@@ -57,7 +57,7 @@ class LinuxGuest(GuestOS):
             increment = max(1, int(round(dt / 0.010)))
             self._jiffy_cache = (dt, increment)
             self.jiffies += increment
-        self.syscalls_serviced += int(self.rng.integers(5, 40))
+        self.syscalls_serviced += self.draw_int(5, 40)
 
         if now - self._last_log >= self.log_period:
             self._last_log = now

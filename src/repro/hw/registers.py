@@ -280,12 +280,28 @@ class TrapContext:
     timestamp: float = 0.0
 
     def __post_init__(self) -> None:
-        # Contexts built from a full RegisterFile snapshot (the hot path)
-        # already hold every architectural register; only fill defaults for
-        # hand-built partial contexts.
+        # Hand-built contexts may be partial: fill the missing architectural
+        # registers with 0. Trap entry goes through from_snapshot instead.
         if not _ARCH_REGISTER_SET <= self.registers.keys():
             for reg in ARCHITECTURAL_REGISTERS:
                 self.registers.setdefault(reg, 0)
+
+    @classmethod
+    def from_snapshot(cls, cpu_id: int, registers: Dict[Register, int],
+                      hsr: int, exception_vector: str,
+                      timestamp: float) -> "TrapContext":
+        """A context over a full :meth:`RegisterFile.snapshot` (trap entry).
+
+        Skips ``__post_init__``: a full snapshot already holds every
+        architectural register, and this runs on every hypervisor entry.
+        """
+        context = object.__new__(cls)
+        context.cpu_id = cpu_id
+        context.registers = registers
+        context.hsr = hsr
+        context.exception_vector = exception_vector
+        context.timestamp = timestamp
+        return context
 
     def read(self, register: Register) -> int:
         if register is Register.HSR:

@@ -121,3 +121,39 @@ def test_time_does_not_move_backwards_when_advancing_zero():
     clock = SimulationClock(start=3.0)
     clock.advance(0.0)
     assert clock.now == 3.0
+
+
+def test_periodic_ties_fire_in_scheduling_order():
+    """Equal due times fire in scheduling order, tick after tick.
+
+    The board's two per-CPU timers tie on every tick; the order in which
+    they raise their interrupts must not depend on anything but the order
+    they were (re-)armed in, through a cancel, a re-arm and ``reset_to``.
+    """
+    clock = SimulationClock()
+    order = []
+
+    def recorder(name):
+        return lambda now: order.append((name, now))
+
+    first = clock.schedule(0.5, recorder("a"), period=0.5)
+    clock.schedule(0.5, recorder("b"), period=0.5)
+    clock.advance(1.0)
+    assert order == [("a", 0.5), ("b", 0.5), ("a", 1.0), ("b", 1.0)]
+
+    # Re-armed at the same phase, "a" is now scheduled after "b".
+    order.clear()
+    first.cancel()
+    rearmed = clock.schedule(0.5, recorder("a"), period=0.5)
+    assert rearmed.due == 1.5
+    clock.advance(1.0)
+    assert order == [("b", 1.5), ("a", 1.5), ("b", 2.0), ("a", 2.0)]
+
+    # After reset_to, only the events scheduled afterwards fire, in order.
+    order.clear()
+    clock.reset_to(10.0)
+    clock.schedule(0.25, recorder("c"), period=0.25)
+    clock.schedule(0.25, recorder("a"), period=0.25)
+    assert clock.advance(0.5) == 4
+    assert order == [("c", 10.25), ("a", 10.25), ("c", 10.5), ("a", 10.5)]
+    assert rearmed.cancelled

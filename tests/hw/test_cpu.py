@@ -75,8 +75,13 @@ def test_enter_trap_snapshots_registers():
     assert context.read(Register.R0) == 0xAA
     assert context.read(Register.PC) == 0x2000
     assert context.hsr == 0x1234
+    assert context.exception_vector == "hvc" and context.timestamp == 1.0
+    assert context.registers == cpu.registers.snapshot()
     assert cpu.mode is CpuMode.HYP
     assert cpu.trap_entries == 1
+    # The context owns its register dict: corrupting it leaves the core alone.
+    context.write(Register.R0, 0)
+    assert cpu.registers.read(Register.R0) == 0xAA
 
 
 def test_enter_trap_requires_online_cpu():

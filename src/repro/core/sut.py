@@ -41,6 +41,14 @@ from repro.hypervisor.core import Hypervisor, HypervisorState
 from repro.hypervisor.handlers import TrapResult
 from repro.hypervisor.traps import TrapCode, encode_hsr
 
+# Enum members read on every step and trap dispatch, bound once: on CPython
+# 3.11 the enum metaclass's ``__getattr__`` makes each member lookup cost
+# ~40 ns.
+_ONLINE = CpuState.ONLINE
+_GUEST_RUNNING = GuestState.RUNNING
+_HANDLED = TrapResult.HANDLED
+_PANICKED = HypervisorState.PANICKED
+
 
 @dataclass
 class SutConfig:
@@ -346,10 +354,9 @@ class JailhouseSUT(SystemUnderTest):
             self._run_instrumented(steps, timestep, telemetry)
             return
         hypervisor = self.hypervisor
-        panicked_state = HypervisorState.PANICKED
         step = self._step
         for _ in range(steps):
-            if hypervisor.state is panicked_state:
+            if hypervisor.state is _PANICKED:
                 break
             step(timestep)
 
@@ -366,7 +373,6 @@ class JailhouseSUT(SystemUnderTest):
         from time import perf_counter
 
         hypervisor = self.hypervisor
-        panicked_state = HypervisorState.PANICKED
         step_elapsed = 0.0
         step_count = 0
         dispatch = {"elapsed": 0.0, "count": 0}
@@ -385,7 +391,7 @@ class JailhouseSUT(SystemUnderTest):
         self._dispatch_guest_event = timed_dispatch
         try:
             for _ in range(steps):
-                if hypervisor.state is panicked_state:
+                if hypervisor.state is _PANICKED:
                     break
                 started = perf_counter()
                 self._step(timestep)
@@ -402,41 +408,42 @@ class JailhouseSUT(SystemUnderTest):
                        count=dispatch["count"])
 
     def _step(self, dt: float) -> None:
-        # Hot path: attribute lookups hoisted, ``is_executing`` inlined as a
-        # state comparison — this runs 50 times per simulated second.
+        # Hot path: attribute lookups hoisted, ``is_executing`` and
+        # ``cell_of_cpu`` inlined — this runs 50 times per simulated second.
         board = self.board
         hypervisor = self.hypervisor
         handlers = hypervisor.handlers
+        cells = hypervisor.cells
         gic_pending = board.gic.pending_view()
-        online = CpuState.ONLINE
-        running = GuestState.RUNNING
-        handled = TrapResult.HANDLED
-        panicked_state = HypervisorState.PANICKED
         board.advance(dt)
         now = board.clock.now
         for cpu in board.cpus:
-            if cpu.state is not online:
+            if cpu.state is not _ONLINE:
                 continue
             cpu_id = cpu.cpu_id
-            cell = hypervisor.cell_of_cpu(cpu_id)
-            if cell is None or not cell.state.is_running:
+            for cell in cells.values():
+                if cpu_id in cell.cpus:
+                    break
+            else:
+                continue
+            if not cell.state.is_running:
                 continue
             guest = cell.guest
-            if guest is None or guest.state is not running:
+            if guest is None or guest.state is not _GUEST_RUNNING:
                 continue
             # Pending interrupts enter through irqchip_handle_irq().
             if gic_pending[cpu_id]:
                 context = cpu.enter_trap("irq", 0, timestamp=now)
                 result = handlers.irqchip_handle_irq(cpu, context)
-                if result is handled:
+                if result is _HANDLED:
                     follow_up = guest.resume_from_trap(cpu_id, context)
                     if follow_up is not None:
                         self._dispatch_guest_event(cpu_id, guest, follow_up, depth=1)
-                if hypervisor.state is panicked_state or cpu.state is not online:
+                if hypervisor.state is _PANICKED or cpu.state is not _ONLINE:
                     continue
             # Workload-generated VM exits enter through arch_handle_trap()/hvc().
             for event in guest.step(cpu_id, now, dt):
-                if hypervisor.state is panicked_state or cpu.state is not online:
+                if hypervisor.state is _PANICKED or cpu.state is not _ONLINE:
                     break
                 self._dispatch_guest_event(cpu_id, guest, event, depth=0)
 
@@ -444,8 +451,8 @@ class JailhouseSUT(SystemUnderTest):
                               event: GuestEvent, *, depth: int) -> None:
         if depth > self.config.max_resume_faults_per_step:
             return
-        cpu = self.board.cpu(cpu_id)
-        if not cpu.is_executing:
+        cpu = self.board.cpus[cpu_id]
+        if cpu.state is not _ONLINE:
             return
         guest.place_registers(cpu_id, event.registers)
         context = cpu.enter_trap(
@@ -455,7 +462,7 @@ class JailhouseSUT(SystemUnderTest):
         result = self.hypervisor.handlers.arch_handle_trap(
             cpu, context, fault_address=event.fault_address
         )
-        if result is not TrapResult.HANDLED:
+        if result is not _HANDLED:
             return
         follow_up = guest.resume_from_trap(cpu_id, context)
         if follow_up is not None:

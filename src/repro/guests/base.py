@@ -85,10 +85,11 @@ class GuestOS(abc.ABC):
 
     RNG contract: every random draw a guest makes consumes its numpy
     stream (``self.rng``) exactly as :class:`numpy.random.Generator` would.
-    Bounded integers come from :meth:`draw_int`, which returns the value
-    ``Generator.integers`` would return and leaves the same
+    Bounded integers come from :meth:`draw_int` and unit floats from
+    :meth:`draw_unit`, which return the values ``Generator.integers`` and
+    ``Generator.random`` would return and leave the same
     ``bit_generator.state`` behind, so records, snapshots and restores do
-    not depend on which of the two made a draw.
+    not depend on which of them made a draw.
     """
 
     def __init__(self, name: str, *, seed: int = 0,
@@ -132,6 +133,52 @@ class GuestOS(abc.ABC):
     @property
     def alive(self) -> bool:
         return self.state is GuestState.RUNNING
+
+    # -- random stream ----------------------------------------------------------------
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The guest's numpy stream; every draw the guest makes consumes it."""
+        return self._rng
+
+    @rng.setter
+    def rng(self, generator: np.random.Generator) -> None:
+        # Looking ``bit_generator.ctypes`` up on every draw costs more than
+        # the draw itself; bind the C entry points once per generator. They
+        # act on the generator's own state, so a restore of
+        # ``bit_generator.state`` keeps them valid.
+        self._rng = generator
+        bitgen = generator.bit_generator.ctypes
+        self._draw_handles = (bitgen.next_uint32, bitgen.next_double,
+                              bitgen.state)
+
+    def draw_int(self, low: int, high: int) -> int:
+        """``int(self.rng.integers(low, high))``, without the numpy call overhead.
+
+        numpy's own algorithm for ranges that fit in 32 bits: Lemire's
+        bounded method over the bit generator's ``next_uint32``, which
+        shares PCG64's buffered half-word with every other draw. The value
+        and the stream state afterwards are those of ``Generator.integers``.
+        Requires ``2 <= high - low <= 2**32``; callers check their bounds
+        once, not per draw.
+        """
+        next_uint32, _next_double, state = self._draw_handles
+        span = high - low
+        product = next_uint32(state) * span
+        if (product & 0xFFFFFFFF) < span:
+            threshold = 0x100000000 % span
+            while (product & 0xFFFFFFFF) < threshold:
+                product = next_uint32(state) * span
+        return low + (product >> 32)
+
+    def draw_unit(self) -> float:
+        """``self.rng.random()``, without the numpy call overhead.
+
+        ``Generator.random`` is the bit generator's ``next_double``; calling
+        it directly returns the same value and leaves the same stream state.
+        """
+        _next_uint32, next_double, state = self._draw_handles
+        return next_double(state)
 
     # -- console ------------------------------------------------------------------------
 
@@ -193,7 +240,7 @@ class GuestOS(abc.ABC):
 
         sp = registers[_SP]
         if not memory_map.is_mapped(sp, 4, _WRITE):
-            if self.rng.random() < self.stack_use_probability:
+            if self.draw_unit() < self.stack_use_probability:
                 self.stats.faults_after_resume += 1
                 return GuestEvent(
                     trap=TrapCode.DATA_ABORT,
@@ -207,7 +254,7 @@ class GuestOS(abc.ABC):
 
         lr = registers[_LR]
         if not memory_map.is_executable(lr):
-            if self.rng.random() < self.link_return_probability:
+            if self.draw_unit() < self.link_return_probability:
                 self.stats.faults_after_resume += 1
                 return GuestEvent(
                     trap=TrapCode.PREFETCH_ABORT,
@@ -240,27 +287,6 @@ class GuestOS(abc.ABC):
         if self.board is None:
             return
         self.board.cpus[cpu_id].registers.load_masked(values)
-
-    def draw_int(self, low: int, high: int) -> int:
-        """``int(self.rng.integers(low, high))``, without the numpy call overhead.
-
-        numpy's own algorithm for ranges that fit in 32 bits: Lemire's
-        bounded method over the bit generator's ``next_uint32``, which
-        shares PCG64's buffered half-word with every other draw. The value
-        and the stream state afterwards are those of ``Generator.integers``.
-        Requires ``2 <= high - low <= 2**32``; callers check their bounds
-        once, not per draw.
-        """
-        bitgen = self.rng.bit_generator.ctypes
-        next_uint32 = bitgen.next_uint32
-        state = bitgen.state
-        span = high - low
-        product = next_uint32(state) * span
-        if (product & 0xFFFFFFFF) < span:
-            threshold = 0x100000000 % span
-            while (product & 0xFFFFFFFF) < threshold:
-                product = next_uint32(state) * span
-        return low + (product >> 32)
 
     def nominal_registers(self, cpu_id: int) -> Dict[Register, int]:
         """Plausible architectural state for this guest while it executes."""

@@ -214,14 +214,14 @@ class FreeRTOSKernel(GuestOS):
         nominal = self.nominal_registers(cpu_id)
         self.place_registers(cpu_id, nominal)
 
-        if idle and self.rng.random() < self.config.wfi_probability:
+        if idle and self.draw_unit() < self.config.wfi_probability:
             events.append(GuestEvent(trap=TrapCode.WFI, registers=dict(nominal),
                                      description="idle loop WFI"))
-        if self.rng.random() < self.config.cp15_probability:
+        if self.draw_unit() < self.config.cp15_probability:
             events.append(GuestEvent(trap=TrapCode.CP15_ACCESS,
                                      registers=dict(nominal),
                                      description="performance counter read"))
-        if self.ivshmem is not None and self.rng.random() < self.config.ivshmem_mmio_probability:
+        if self.ivshmem is not None and self.draw_unit() < self.config.ivshmem_mmio_probability:
             doorbell = self._ivshmem_doorbell_address()
             if doorbell is not None:
                 events.append(
@@ -232,7 +232,7 @@ class FreeRTOSKernel(GuestOS):
                         description="ivshmem doorbell write",
                     )
                 )
-        if self.rng.random() < self.config.debug_putc_probability:
+        if self.draw_unit() < self.config.debug_putc_probability:
             registers = dict(nominal)
             registers[Register.R0] = int(Hypercall.DEBUG_CONSOLE_PUTC)
             registers[Register.R1] = ord(".")

@@ -70,14 +70,14 @@ class LinuxGuest(GuestOS):
         nominal = self.nominal_registers(cpu_id)
         self.place_registers(cpu_id, nominal)
 
-        if self.rng.random() < self.wfi_probability:
+        if self.draw_unit() < self.wfi_probability:
             events.append(GuestEvent(trap=TrapCode.WFI, registers=dict(nominal),
                                      description="cpuidle WFI"))
-        if self.rng.random() < self.cp15_probability:
+        if self.draw_unit() < self.cp15_probability:
             events.append(GuestEvent(trap=TrapCode.CP15_ACCESS,
                                      registers=dict(nominal),
                                      description="arch timer register access"))
-        if self.rng.random() < self.hypercall_probability:
+        if self.draw_unit() < self.hypercall_probability:
             registers = dict(nominal)
             registers[Register.R0] = int(Hypercall.HYPERVISOR_GET_INFO)
             events.append(GuestEvent(trap=TrapCode.HYPERCALL, registers=registers,

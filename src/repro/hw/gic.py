@@ -79,7 +79,6 @@ class Gic:
             cpu: [] for cpu in range(num_cpus)
         }
         self.cpu_interfaces = [GicCpuInterface(cpu, self) for cpu in range(num_cpus)]
-        self.delivered: List[PendingInterrupt] = []
         #: Flyweight cache of immutable (irq, cpu) pending instances.
         self._interned_pending: Dict[Tuple[int, int], PendingInterrupt] = {}
 
@@ -106,9 +105,6 @@ class Gic:
 
     def irq_priority(self, irq: int) -> int:
         return self._priorities.get(irq, 0xFF)
-
-    def irq_targets(self, irq: int) -> Set[int]:
-        return set(self._targets.get(irq, set()))
 
     def retarget_irq(self, irq: int, targets: Set[int]) -> None:
         """Change the CPUs an SPI is delivered to (used on cell create/destroy)."""
@@ -195,18 +191,23 @@ class Gic:
     # -- internal -----------------------------------------------------------------
 
     def _pop_pending(self, cpu_id: int, priority_mask: int) -> Optional[int]:
+        """Pop the highest-priority entry if it passes ``priority_mask``.
+
+        After the (stable) sort the head has the lowest priority value, so
+        when the head is masked every other entry is masked too. A one-entry
+        queue, nearly every delivery (the timer PPI alone), skips the sort.
+        """
         pending = self._pending[cpu_id]
         if not pending:
             return None
         priorities = self._priorities
         if len(pending) > 1:
             pending.sort(key=lambda p: priorities.get(p.irq, 0xFF))
-        for index, entry in enumerate(pending):
-            if priorities.get(entry.irq, 0xFF) < priority_mask:
-                pending.pop(index)
-                self.delivered.append(entry)
-                return entry.irq
-        return None
+        irq = pending[0].irq
+        if priorities.get(irq, 0xFF) >= priority_mask:
+            return None
+        del pending[0]
+        return irq
 
     @staticmethod
     def _validate_irq(irq: int) -> None:
@@ -223,7 +224,6 @@ class Gic:
             "priorities": dict(self._priorities),
             "targets": {irq: set(cpus) for irq, cpus in self._targets.items()},
             "pending": {cpu: list(queue) for cpu, queue in self._pending.items()},
-            "delivered": list(self.delivered),
             "interfaces": [
                 (i.priority_mask, i.enabled, i.active, i.acked_count, i.eoi_count)
                 for i in self.cpu_interfaces
@@ -237,7 +237,6 @@ class Gic:
         self._priorities = dict(state["priorities"])
         self._targets = {irq: set(cpus) for irq, cpus in state["targets"].items()}
         self._pending = {cpu: list(queue) for cpu, queue in state["pending"].items()}
-        self.delivered = list(state["delivered"])
         for interface, snap in zip(self.cpu_interfaces, state["interfaces"]):
             (interface.priority_mask, interface.enabled, interface.active,
              interface.acked_count, interface.eoi_count) = snap

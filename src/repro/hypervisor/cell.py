@@ -34,7 +34,12 @@ class CellState(enum.Enum):
 
     @property
     def is_running(self) -> bool:
-        return self in (CellState.RUNNING, CellState.RUNNING_LOCKED)
+        return self in _RUNNING_STATES
+
+
+#: States in which a cell's CPUs execute guest code, bound once (see
+#: :attr:`CellState.is_running`, read for every CPU on every step).
+_RUNNING_STATES = (CellState.RUNNING, CellState.RUNNING_LOCKED)
 
 
 @dataclass

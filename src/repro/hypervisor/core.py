@@ -642,7 +642,14 @@ class Hypervisor:
         """Forward an acknowledged interrupt to the cell that owns it."""
         owner: Optional[Cell]
         if irq < 32:
-            owner = self.cell_of_cpu(cpu.cpu_id)
+            # Inlined cell_of_cpu(): a banked IRQ (the timer tick) goes to
+            # the cell owning this CPU, once or more per simulation step.
+            cpu_id = cpu.cpu_id
+            for owner in self.cells.values():
+                if cpu_id in owner.cpus:
+                    break
+            else:
+                owner = None
         else:
             owner = next(
                 (cell for cell in self.cells.values() if irq in cell.irqs), None

@@ -57,6 +57,13 @@ class TrapResult(enum.Enum):
     CPU_ONLINE_FAILED = "cpu_online_failed"
 
 
+# Enum members read on every trap return, bound once: on CPython 3.11 the
+# enum metaclass's ``__getattr__`` makes each member lookup cost ~40 ns.
+_HANDLED = TrapResult.HANDLED
+_WAIT_FOR_POWERON = CpuState.WAIT_FOR_POWERON
+_CPSR = Register.CPSR
+
+
 @dataclass
 class HandlerStats:
     """Per-handler call and disposition counters."""
@@ -248,14 +255,18 @@ class ArchHandlers:
     def irqchip_handle_irq(self, cpu: CpuCore, context: TrapContext) -> TrapResult:
         """Interrupt entry: acknowledge pending IRQs and route them to the owner cell."""
         self._enter(HANDLER_IRQCHIP, cpu, context)
-        interface = self._hv.board.gic.cpu_interfaces[cpu.cpu_id]
+        hypervisor = self._hv
+        interface = hypervisor.board.gic.cpu_interfaces[cpu.cpu_id]
+        acknowledge = interface.acknowledge
+        end_of_interrupt = interface.end_of_interrupt
+        route_irq = hypervisor.route_irq
         delivered = 0
         while True:
-            irq = interface.acknowledge()
+            irq = acknowledge()
             if irq == SPURIOUS_IRQ:
                 break
-            self._hv.route_irq(cpu, irq)
-            interface.end_of_interrupt(irq)
+            route_irq(cpu, irq)
+            end_of_interrupt(irq)
             delivered += 1
             if delivered > 64:  # pragma: no cover - runaway guard
                 break
@@ -275,11 +286,11 @@ class ArchHandlers:
         swap) has no guest context to return to, so no exception return — and
         therefore no mode check — happens for it.
         """
-        if cpu.state is CpuState.WAIT_FOR_POWERON:
+        if cpu.state is _WAIT_FOR_POWERON:
             self.stats[handler_name].handled += 1
-            return TrapResult.HANDLED
+            return _HANDLED
         # Inlined is_valid_guest_cpsr(context.cpsr): this runs once per trap.
-        cpsr = context.registers[Register.CPSR]
+        cpsr = context.registers[_CPSR]
         if cpsr & CPSR_MODE_MASK not in GUEST_RETURNABLE_MODES:
             reason = f"illegal exception return (cpsr=0x{cpsr:08x})"
             cell = self._hv.cell_of_cpu(cpu.cpu_id)
@@ -294,4 +305,4 @@ class ArchHandlers:
             return TrapResult.PANIC
         self.stats[handler_name].handled += 1
         cpu.exit_trap(context)
-        return TrapResult.HANDLED
+        return _HANDLED

@@ -15,11 +15,16 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, IsolationViolationError
-from repro.hw.memory import ACCESS_BIT, AccessType, MemoryFlags
+from repro.hw.memory import AccessType, MemoryFlags
 from repro.hypervisor.config import MemoryAssignment
 
+_READ_BIT = int(MemoryFlags.READ)
+_WRITE_BIT = int(MemoryFlags.WRITE)
 _EXECUTE_BIT = int(MemoryFlags.EXECUTE)
 _IO_BIT = int(MemoryFlags.IO)
+# Compared by identity in is_mapped(): a dict keyed by the member would hash
+# it through the Python-level ``Enum.__hash__`` on every resume check.
+_READ, _WRITE = AccessType.READ, AccessType.WRITE
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,8 @@ class CellMemoryMap:
     def is_mapped(self, address: int, size: int = 1,
                   access: AccessType = AccessType.READ) -> bool:
         """Whether the cell may perform ``access`` on the given window."""
-        bit = ACCESS_BIT[access]
+        bit = (_WRITE_BIT if access is _WRITE
+               else _READ_BIT if access is _READ else _EXECUTE_BIT)
         end = address + size
         for virt_start, virt_end, flags, _mapping in self._spans:
             if virt_start <= address and end <= virt_end:

@@ -131,8 +131,23 @@ def test_clear_pending_per_cpu_and_global(gic: Gic):
     assert not gic.has_pending(1)
 
 
-def test_delivered_interrupts_are_recorded(gic: Gic):
+def test_acknowledged_interrupt_leaves_the_queue_and_is_counted(gic: Gic):
     gic.raise_irq(33)
     interface = gic.cpu_interfaces[0]
-    interface.end_of_interrupt(interface.acknowledge())
-    assert [entry.irq for entry in gic.delivered] == [33]
+    assert interface.acknowledge() == 33
+    assert not gic.has_pending(0)
+    assert (interface.acked_count, interface.eoi_count) == (1, 0)
+    interface.end_of_interrupt(33)
+    assert (interface.acked_count, interface.eoi_count) == (1, 1)
+    assert interface.acknowledge() == SPURIOUS_IRQ
+
+
+def test_priority_mask_applies_to_a_multi_entry_queue(gic: Gic):
+    gic.raise_irq(33)            # priority 0xA0
+    gic.raise_irq(27, cpu_id=0)  # priority 0x20
+    interface = gic.cpu_interfaces[0]
+    interface.priority_mask = 0x50
+    assert interface.acknowledge() == 27
+    interface.end_of_interrupt(27)
+    assert interface.acknowledge() == SPURIOUS_IRQ
+    assert gic.pending_for(0) == (33,)

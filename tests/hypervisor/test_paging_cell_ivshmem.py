@@ -57,6 +57,41 @@ class TestStage2:
         assert not cell_map.is_executable(0x3000_0000)   # shm is not executable
         assert not cell_map.is_mapped(0x5000_0000, 4)
 
+    #: One mapping per permission mix, so every access type is both granted
+    #: and refused somewhere.
+    PERMISSION_MAP = [
+        Stage2Mapping("rwx", 0x0000, 0x1000, 0x1000, MemoryFlags.RWX),
+        Stage2Mapping("ro", 0x2000, 0x3000, 0x1000, MemoryFlags.READ),
+        Stage2Mapping("wo-io", 0x4000, 0x5000, 0x1000,
+                      MemoryFlags.WRITE | MemoryFlags.IO),
+        Stage2Mapping("xo", 0x6000, 0x7000, 0x1000, MemoryFlags.EXECUTE),
+    ]
+
+    @pytest.mark.parametrize("access", list(AccessType))
+    @pytest.mark.parametrize("mapping", PERMISSION_MAP, ids=lambda m: m.name)
+    def test_is_mapped_agrees_with_permits_inside_a_mapping(self, mapping,
+                                                            access):
+        cell_map = CellMemoryMap("cell", self.PERMISSION_MAP)
+        expected = mapping.permits(access)
+        for address, size in ((mapping.virt_start, 1),
+                              (mapping.virt_start + 0x10, 4),
+                              (mapping.virt_end - 4, 4),
+                              (mapping.virt_start, mapping.size)):
+            assert cell_map.is_mapped(address, size, access) is expected
+
+    @pytest.mark.parametrize("access", list(AccessType))
+    @pytest.mark.parametrize("mapping", PERMISSION_MAP, ids=lambda m: m.name)
+    def test_is_mapped_refuses_windows_outside_or_straddling(self, mapping,
+                                                             access):
+        cell_map = CellMemoryMap("cell", self.PERMISSION_MAP)
+        # Past the end (inside the gap to the next mapping), straddling the
+        # end, and one byte longer than the whole mapping.
+        for address, size in ((mapping.virt_end, 4),
+                              (mapping.virt_end - 2, 4),
+                              (mapping.virt_start, mapping.size + 1)):
+            assert cell_map.is_mapped(address, size, access) is False
+        assert cell_map.is_mapped(0x9000_0000, 4, access) is False
+
     def test_translate_through_the_map(self):
         cell_map = make_map()
         assert cell_map.translate(0x10) == 0x7800_0010
@@ -92,6 +127,11 @@ class TestStage2:
 class TestCellStateMachine:
     def make_cell(self) -> Cell:
         return Cell(1, freertos_cell_config())
+
+    @pytest.mark.parametrize("state", list(CellState))
+    def test_is_running_exactly_for_the_running_states(self, state):
+        assert state.is_running is (
+            state in (CellState.RUNNING, CellState.RUNNING_LOCKED))
 
     def test_new_cell_is_shut_down(self):
         cell = self.make_cell()

@@ -1,6 +1,6 @@
 """Static contract checker for the repro codebase (``repro-fi check``).
 
-Every multiplier this repo ships — prefix fast-forward, batched lockstep,
+Every multiplier this repo ships — snapshot pooling, prefix fast-forward,
 the multi-host fleet — rests on invariants that are invisible to the type
 system: records must be byte-identical across execution strategies,
 ``snapshot_state`` must deep-copy every mutable field, telemetry must cost

@@ -1,7 +1,7 @@
 """Rule ``determinism``: record-producing code must be replayable.
 
 Byte-identical records across execution strategies (serial, ``--jobs``,
-``--prefix-cache``, ``--batch``, the fleet) are the repo's core guarantee —
+``--pooling``, ``--prefix-cache``, the fleet) are the repo's core guarantee —
 every chaos and parity suite asserts it. Inside the packages that produce
 records or identities (``hw/``, ``hypervisor/``, ``guests/``, ``core/``,
 ``engine/``) this rule forbids the ambient-entropy APIs (wall clocks,

@@ -1,8 +1,8 @@
 """Rule ``snapshot-complete``: ``snapshot_state`` covers what mutates.
 
-Prefix fast-forward, pooling, and batched lockstep all fork simulations
-from snapshots; a mutable field that is missing from — or *aliased into* —
-a snapshot corrupts every fork sharing it (the PR-8 ``ParkRecord`` bug).
+Prefix fast-forward and snapshot pooling both fork simulations from
+snapshots; a mutable field that is missing from — or *aliased into* — a
+snapshot corrupts every fork sharing it (an aliased ``ParkRecord`` once did).
 For every class implementing ``snapshot_state`` this rule cross-checks the
 attributes assigned in ``__init__`` against the snapshot body:
 

@@ -246,8 +246,6 @@ def _observability(plan, args):
 
 def _run_plan(plan, args, sut_factory=None, classifier=None,
               prefix_cache_default: bool = False,
-              batch_default: bool = False,
-              batch_size_default: "int | None" = None,
               chunk_size_default: "int | str | None" = None,
               timeout_default: "float | None" = None,
               retries_default: "int | None" = None,
@@ -263,12 +261,6 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
     prefix_cache = getattr(args, "prefix_cache", None)
     if prefix_cache is None:
         prefix_cache = prefix_cache_default
-    batch = getattr(args, "batch", None)
-    if batch is None:
-        batch = batch_default
-    batch_size = getattr(args, "batch_size", None)
-    if batch_size is None:
-        batch_size = batch_size_default
     chunk_size = _parse_chunk_size(getattr(args, "chunk_size", None))
     if chunk_size is None:
         chunk_size = chunk_size_default
@@ -309,8 +301,6 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
             chunk_size=chunk_size,
             pooling=getattr(args, "pooling", False),
             prefix_cache=prefix_cache,
-            batch=batch,
-            batch_size=batch_size,
             progress=progress,
             telemetry=telemetry,
             timeout_s=timeout_s,
@@ -337,13 +327,6 @@ def _run_plan(plan, args, sut_factory=None, classifier=None,
         print(f"prefix cache: {stats['hits']} hits / {stats['misses']} "
               f"misses ({stats['hits'] / executed:.0%} of cached "
               f"experiments fast-forwarded)", file=sys.stderr)
-    batch_stats = result.batch_stats()
-    if batch_stats["batched"]:
-        lockstep = batch_stats["batched"] - batch_stats["evicted"]
-        print(f"batching: {batch_stats['batched']} experiments in lockstep "
-              f"batches ({lockstep} stayed in lockstep, "
-              f"{batch_stats['evicted']} evicted to scalar replay, "
-              f"{batch_stats['scalar']} ran scalar)", file=sys.stderr)
     if engine.reoffered:
         print(f"re-offered {engine.reoffered} previously quarantined "
               f"spec(s) from {engine.quarantine.path}", file=sys.stderr)
@@ -451,8 +434,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         sut_factory=config.sut_factory(override=args.sut),
         classifier=config.build_classifier(),
         prefix_cache_default=config.prefix_cache,
-        batch_default=config.batch,
-        batch_size_default=config.batch_size,
         chunk_size_default=config.chunk_size,
         timeout_default=config.timeout_s,
         retries_default=config.retries,
@@ -839,8 +820,6 @@ def cmd_fleet_worker(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         pooling=getattr(args, "pooling", False),
         prefix_cache=args.prefix_cache,
-        batch=args.batch,
-        batch_size=args.batch_size,
         chunk_size=_parse_chunk_size(getattr(args, "chunk_size", None)),
         timeout_s=args.timeout,
         retries=args.retries,
@@ -1016,21 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "execution; implies --pooling); "
                                   "--no-prefix-cache overrides a config that "
                                   "enables it")
-        command.add_argument("--batch",
-                             action=argparse.BooleanOptionalAction,
-                             default=None,
-                             help="step all fault variants of a prefix "
-                                  "family through one shared simulation in "
-                                  "lockstep until their injectors fire "
-                                  "(records are identical to scalar "
-                                  "execution; implies --prefix-cache); "
-                                  "--no-batch overrides a config that "
-                                  "enables it")
-        command.add_argument("--batch-size", type=int, default=None,
-                             metavar="N",
-                             help="max lanes per lockstep batch "
-                                  "(default 16); only meaningful with "
-                                  "--batch")
         command.add_argument("--chunk-size", metavar="N|auto",
                              help="experiments per pool task (default 1: "
                                   "every completion streams/checkpoints "
@@ -1259,7 +1223,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--shard-size", type=int, default=8, metavar="N",
                        help="max specs per lease shard (default 8); whole "
                             "prefix families stay together so worker-side "
-                            "--prefix-cache/--batch keep working")
+                            "--prefix-cache keeps working")
     serve.add_argument("--lease-ttl", type=float, default=15.0,
                        metavar="SECONDS",
                        help="lease expires if not renewed by a heartbeat "
@@ -1323,13 +1287,6 @@ def build_parser() -> argparse.ArgumentParser:
                               default=None,
                               help="override the campaign config's "
                                    "prefix-cache setting for this worker")
-    fleet_worker.add_argument("--batch",
-                              action=argparse.BooleanOptionalAction,
-                              default=None,
-                              help="override the campaign config's "
-                                   "lockstep-batching setting")
-    fleet_worker.add_argument("--batch-size", type=int, default=None,
-                              metavar="N")
     fleet_worker.add_argument("--chunk-size", metavar="N|auto")
     fleet_worker.add_argument("--timeout", type=float, default=None,
                               metavar="SECONDS",

@@ -109,25 +109,6 @@ class CampaignResult:
             "uncached": len(self.results) - hits - misses,
         }
 
-    def batch_stats(self) -> Dict[str, int]:
-        """Batched-lockstep effectiveness of this campaign.
-
-        ``batched`` results executed inside a lockstep batch, ``evicted``
-        of those fired their injector mid-batch and were replayed scalar
-        from the last sync boundary, ``scalar`` ran outside any batch
-        (batching off, ineligible specs, fallbacks). Like
-        :meth:`prefix_cache_stats` this is execution bookkeeping only — a
-        batched campaign's records are identical to a scalar one's.
-        """
-        batched = sum(1 for result in self.results
-                      if result.batch_id is not None)
-        evicted = sum(1 for result in self.results if result.batch_evicted)
-        return {
-            "batched": batched,
-            "evicted": evicted,
-            "scalar": len(self.results) - batched,
-        }
-
     def to_records(self) -> List[ExperimentRecord]:
         return [ExperimentRecord.from_result(result) for result in self.results]
 
@@ -199,8 +180,6 @@ class Campaign:
             resume: bool = False,
             pooling: bool = False,
             prefix_cache: bool = False,
-            batch: bool = False,
-            batch_size: Optional[int] = None,
             chunk_size: "int | str | None" = None,
             telemetry=None,
             timeout_s: Optional[float] = None,
@@ -222,11 +201,7 @@ class Campaign:
         pre-injection prefix once per worker and forks all fault variants of
         that prefix family from its snapshot — again with records identical
         to cold execution (it implies ``pooling`` so all cached prefixes
-        share one SUT per worker). ``batch=True`` steps all fault variants
-        of a prefix family through one shared simulation in lockstep until
-        their injectors fire (``batch_size`` caps the lanes per batch; it
-        implies ``prefix_cache``) — records again identical to scalar
-        execution. ``chunk_size`` groups pool tasks
+        share one SUT per worker). ``chunk_size`` groups pool tasks
         (``"auto"`` derives a size from the queue; see
         :func:`~repro.engine.scheduler.suggest_chunk_size`). ``telemetry``
         attaches a :class:`~repro.obs.telemetry.Telemetry` bus for live
@@ -256,8 +231,6 @@ class Campaign:
             resume=resume,
             pooling=pooling,
             prefix_cache=prefix_cache,
-            batch=batch,
-            batch_size=batch_size,
             chunk_size=chunk_size,
             progress=engine_progress,
             telemetry=telemetry,

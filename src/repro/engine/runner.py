@@ -54,6 +54,7 @@ from repro.engine.scheduler import (
 from repro.engine.supervisor import (
     DEFAULT_MAX_WORKER_RESTARTS,
     DEFAULT_RETRIES,
+    LEGACY_POLICY,
     RunPolicy,
 )
 from repro.engine.workers import (
@@ -78,8 +79,6 @@ class CampaignEngine:
                  pooling: bool = False,
                  prefix_cache: bool = False,
                  prefix_cache_size: int = DEFAULT_PREFIX_CACHE_SIZE,
-                 batch: bool = False,
-                 batch_size: Optional[int] = None,
                  progress: Optional[EngineProgress] = None,
                  telemetry: "Telemetry | None" = None,
                  timeout_s: Optional[float] = None,
@@ -100,16 +99,17 @@ class CampaignEngine:
             else None
         )
         self.resume = resume
-        #: Fault-tolerance policy. ``None`` (no timeout/retry/restart knob
-        #: set) keeps the historical library contract: worker exceptions
-        #: propagate with their original type and nothing is quarantined —
-        #: though worker *deaths*, which used to wedge the pool forever, are
-        #: still survived up to the default restart budget. Setting any knob
-        #: opts into supervision: hung experiments are killed after
-        #: ``timeout_s``, failing specs retry ``retries`` times with
-        #: exponential backoff, and persistent offenders are quarantined with
-        #: a synthesized infrastructure result so the campaign completes.
-        self.policy: Optional[RunPolicy] = None
+        #: Fault-tolerance policy. With no timeout/retry/restart knob set it
+        #: is :data:`~repro.engine.supervisor.LEGACY_POLICY`, the historical
+        #: library contract: worker exceptions propagate with their original
+        #: type and nothing is quarantined — though worker *deaths*, which
+        #: used to wedge the pool forever, are still survived up to the
+        #: default restart budget. Setting any knob opts into supervision:
+        #: hung experiments are killed after ``timeout_s``, failing specs
+        #: retry ``retries`` times with exponential backoff, and persistent
+        #: offenders are quarantined with a synthesized infrastructure result
+        #: so the campaign completes.
+        self.policy: RunPolicy = LEGACY_POLICY
         if (timeout_s is not None or retries is not None
                 or max_worker_restarts is not None):
             self.policy = RunPolicy(
@@ -125,7 +125,7 @@ class CampaignEngine:
         #: needs attention, pruned of re-offered entries on resume.
         self.quarantine: Optional[QuarantineLog] = (
             open_quarantine(quarantine_path, checkpoint_path)
-            if self.policy is not None or quarantine_path is not None
+            if not self.policy.fail_fast or quarantine_path is not None
             else None
         )
         #: Supervision event counts from the last :meth:`run`
@@ -145,21 +145,7 @@ class CampaignEngine:
         #: family from the snapshot. Record-for-record identical to cold
         #: execution (see the prefix parity tests); ``cold_boot=True`` specs
         #: opt out here too.
-        #: Batched lockstep core: step each prefix family's steady-state
-        #: members together on one shared simulated state, evicting a lane
-        #: to the scalar path the moment its injector fires
-        #: (:mod:`repro.engine.batch`). Record-for-record identical to
-        #: scalar execution (see the batch parity tests). Implies the prefix
-        #: cache — batches fork from the family's post-prefix snapshot.
-        self.batch = batch
-        if batch_size is not None and (isinstance(batch_size, bool)
-                                       or not isinstance(batch_size, int)
-                                       or batch_size <= 0):
-            raise CampaignError(
-                f"batch size must be a positive integer, got {batch_size!r}"
-            )
-        self.batch_size = batch_size
-        self.prefix_cache = prefix_cache or batch
+        self.prefix_cache = prefix_cache
         #: Snapshot/reset pooling: each worker keeps one system under test
         #: alive and restores it between experiments instead of rebuilding.
         #: Outcomes are identical either way (see the campaign-parity tests);
@@ -195,7 +181,6 @@ class CampaignEngine:
                 jobs=self.jobs,
                 pooling=self.pooling,
                 prefix_cache=self.prefix_cache,
-                batch=self.batch,
                 resume=self.resume,
                 checkpoint=(str(self.checkpoint.path)
                             if self.checkpoint is not None else None),
@@ -261,37 +246,17 @@ class CampaignEngine:
             stream = execute_serial(queue, self.sut_factory, self.classifier,
                                     self.pooling, self.prefix_cache,
                                     self.prefix_cache_size,
-                                    policy=self.policy, on_event=on_event,
-                                    batch=self.batch,
-                                    batch_size=self.batch_size)
+                                    policy=self.policy, on_event=on_event)
         else:
             stream = execute_pool(queue, self.jobs, self.sut_factory,
                                   self.classifier, chunk_size=chunk_size,
                                   pooling=self.pooling,
                                   prefix_cache=self.prefix_cache,
                                   prefix_cache_size=self.prefix_cache_size,
-                                  policy=self.policy, on_event=on_event,
-                                  batch=self.batch,
-                                  batch_size=self.batch_size)
+                                  policy=self.policy, on_event=on_event)
 
-        # Batches execute inside worker processes, which cannot reach the
-        # parent's telemetry bus; their lifecycle events are synthesized here
-        # from the batch fields each result carries home.
-        seen_batches: set = set()
         for index, result in stream:
             slots[index] = result
-            if telemetry and result.batch_id is not None:
-                if result.batch_id not in seen_batches:
-                    seen_batches.add(result.batch_id)
-                    telemetry.emit("batch_formed",
-                                   batch_id=result.batch_id,
-                                   lanes=result.batch_lanes)
-                if result.batch_evicted:
-                    telemetry.emit("lane_evicted",
-                                   batch_id=result.batch_id,
-                                   spec=result.spec_name,
-                                   index=index,
-                                   step=result.batch_eviction_step)
             # Quarantined specs are deliberately NOT committed: their
             # synthesized infra results fill the campaign, but a resume
             # must re-offer the spec, not restore a non-answer.
@@ -313,8 +278,6 @@ class CampaignEngine:
                     prefix_wall_s=result.prefix_wall_time,
                     worker=result.worker_id,
                     prefix_cache_hit=result.prefix_cache_hit,
-                    batch_id=result.batch_id,
-                    batch_evicted=result.batch_evicted,
                     injections=result.injections,
                     completed=snapshot.completed,
                     queue_depth=total - snapshot.completed,

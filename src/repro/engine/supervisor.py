@@ -83,8 +83,8 @@ class RunPolicy:
     ``fail_fast`` restores the pre-supervision library semantics: worker
     exceptions propagate to the caller with their original type and exhausted
     crash/timeout retries raise :class:`~repro.errors.CampaignError` instead
-    of quarantining. The CLI never sets it; ``CampaignEngine`` uses it when
-    the caller asked for no policy at all.
+    of quarantining. The CLI never sets it; ``CampaignEngine`` runs under
+    :data:`LEGACY_POLICY`, which does, when no supervision knob is set.
     """
 
     timeout_s: Optional[float] = None
@@ -187,20 +187,15 @@ def _supervised_worker(conn, init_args: tuple) -> None:
             if message[0] == "stop":
                 return
             _, shard_id, items = message
-            batch_size = _WORKER_STATE.get("batch_size")
-            if batch_size and prefix_cache is not None:
-                _run_shard_batched(conn, shard_id, items, sut_factory,
-                                   classifier, prefix_cache, batch_size)
-            else:
-                for item in items:
-                    conn.send(("start", shard_id, item.index))
-                    try:
-                        index, result = _run_item(item, sut_factory,
-                                                  classifier, prefix_cache)
-                        conn.send(("done_item", shard_id, index, result))
-                    except Exception as exc:  # noqa: BLE001 - forwarded
-                        conn.send(("error_item", shard_id, item.index,
-                                   _sendable_error(exc)))
+            for item in items:
+                conn.send(("start", shard_id, item.index))
+                try:
+                    index, result = _run_item(item, sut_factory, classifier,
+                                              prefix_cache)
+                    conn.send(("done_item", shard_id, index, result))
+                except Exception as exc:  # noqa: BLE001 - forwarded
+                    conn.send(("error_item", shard_id, item.index,
+                               _sendable_error(exc)))
             conn.send(("done_shard", shard_id))
     except (BrokenPipeError, OSError):
         return                           # parent went away: just exit
@@ -209,48 +204,6 @@ def _supervised_worker(conn, init_args: tuple) -> None:
             conn.close()
         except OSError:
             pass
-
-
-def _run_shard_batched(conn, shard_id: int, items, sut_factory, classifier,
-                       cache, batch_size: int) -> None:
-    """Batched lockstep variant of the shard loop, same message protocol.
-
-    Each family's lockstep batches are announced with one ``start`` (their
-    first lane): that lane is the parent's watchdog anchor and the crash/
-    timeout victim, and the remaining lanes are requeued innocent if the
-    worker dies — a retried lane re-runs as a singleton shard, i.e. scalar.
-    Any batch failure resets the worker's SUT state and falls back to the
-    scalar per-item loop for the whole family, so supervision accounting
-    (retries, quarantine) stays per experiment.
-    """
-    from repro.engine.workers import (
-        _reset_worker_state, _run_family_batched, _run_item,
-        batchable_spec, group_by_prefix, plan_family_batches)
-    for family in group_by_prefix(items, sut_token=cache.sut_token):
-        batches, scalar_items = plan_family_batches(family, batch_size,
-                                                    batchable_spec)
-        batched = None
-        if batches:
-            conn.send(("start", shard_id, batches[0][0].index))
-            try:
-                batched = _run_family_batched(batches, sut_factory,
-                                              classifier, cache)
-            except Exception:  # noqa: BLE001 - scalar rerun surfaces it
-                _reset_worker_state(sut_factory, cache)
-        if batched is None:
-            scalar_items = family.items
-        else:
-            for index, result in batched:
-                conn.send(("done_item", shard_id, index, result))
-        for item in scalar_items:
-            conn.send(("start", shard_id, item.index))
-            try:
-                index, result = _run_item(item, sut_factory, classifier,
-                                          cache)
-                conn.send(("done_item", shard_id, index, result))
-            except Exception as exc:  # noqa: BLE001 - forwarded to parent
-                conn.send(("error_item", shard_id, item.index,
-                           _sendable_error(exc)))
 
 
 class _Worker:

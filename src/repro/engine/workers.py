@@ -20,11 +20,13 @@ result)``):
   start method (cheap on Linux, and it lets custom ``sut_factory`` closures
   cross into workers without pickling) and falling back to ``spawn``.
 
-Both accept a :class:`~repro.engine.supervisor.RunPolicy`: per-experiment
-wall-clock timeouts, retry with exponential backoff, and poison-spec
-quarantine. The pool enforces the timeout by SIGKILLing the worker from the
-parent watchdog; the serial path arms ``SIGALRM`` around each experiment
-(main thread only — elsewhere the serial timeout is silently unavailable).
+Both run every item under a :class:`~repro.engine.supervisor.RunPolicy`
+(default :data:`~repro.engine.supervisor.LEGACY_POLICY`: no timeout, no
+retry, the first exception propagates): per-experiment wall-clock
+timeouts, retry with exponential backoff, and poison-spec quarantine. The
+pool enforces the timeout by SIGKILLing the worker from the parent
+watchdog; the serial path arms ``SIGALRM`` around each experiment (main
+thread only — elsewhere the serial timeout is silently unavailable).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import time
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from repro.core.experiment import (
     Experiment,
@@ -49,18 +51,9 @@ from repro.core.experiment import (
 from repro.core.outcomes import OutcomeClassifier
 from repro.core.registry import resolve_sut_factory
 from repro.core.outcomes import Outcome
-from repro.engine.batch import (
-    DEFAULT_BATCH_SIZE,
-    BatchDivergenceError,
-    BatchStepper,
-    batchable_spec,
-    supports_batching,
-)
 from repro.engine.scheduler import (
-    PrefixFamily,
     WorkItem,
     group_by_prefix,
-    plan_family_batches,
     shard_families,
     shard_for_pool,
 )
@@ -275,86 +268,6 @@ def _run_item_prefix_cached(experiment: Experiment,
     return result
 
 
-#: Per-process batch counter: batch ids must be unique campaign-wide even
-#: when one family is sliced across workers (``shard_families`` bisection).
-_batch_sequence = 0
-
-
-def _next_batch_id(key: str) -> str:
-    global _batch_sequence
-    _batch_sequence += 1
-    return f"{key[:8]}@{os.getpid()}#{_batch_sequence}"
-
-
-def _run_family_batched(batches: Sequence[Sequence[WorkItem]],
-                        sut_factory: SutFactory,
-                        classifier: OutcomeClassifier,
-                        cache: PrefixSnapshotCache,
-                        ) -> Optional[List[IndexedResult]]:
-    """Run one prefix family's batchable members in lockstep.
-
-    The family's golden bring-up runs (or is fetched from the prefix cache)
-    exactly once; every batch then forks the post-prefix snapshot and a
-    :class:`~repro.engine.batch.BatchStepper` advances its lanes on one
-    shared simulated state, evicting a lane to the scalar path the moment
-    its injector fires. Returns ``None`` when the SUT cannot snapshot/fork
-    (baseline models) — the caller runs the items scalar instead.
-    """
-    items = [item for batch in batches for item in batch]
-    spec0 = items[0].spec
-    started = time.perf_counter()
-    key = spec0.prefix_key(sut=cache.sut_token)
-    entry = cache.get(key)
-    if entry is None:
-        sut = sut_factory(spec0.seed)
-        if not _supports_prefix_forking(sut) or not supports_batching(sut):
-            cache.misses -= 1           # not a real miss: the SUT can't batch
-            cache.bypasses += 1
-            return None
-        hit = False
-    else:
-        sut = entry.sut
-        if not supports_batching(sut):
-            return None
-        hit = True
-    results: List[IndexedResult] = []
-    worker_id = os.getpid()
-    try:
-        if hit:
-            snapshot = entry.snapshot
-        else:
-            Experiment(spec0, sut_factory=sut_factory,
-                       classifier=classifier).run_prefix(sut)
-            snapshot = sut.snapshot()
-            if cache.worth_caching(key):
-                cache.put(key, sut, snapshot)
-        prefix_elapsed = time.perf_counter() - started
-        first = True
-        for batch in batches:
-            fork_started = time.perf_counter()
-            sut.fork_from_snapshot(snapshot, seed=spec0.seed)
-            fork_elapsed = time.perf_counter() - fork_started
-            stepper = BatchStepper(
-                sut,
-                [Experiment(item.spec, sut_factory=sut_factory,
-                            classifier=classifier) for item in batch],
-                batch_id=_next_batch_id(key),
-            )
-            for item, result in zip(batch, stepper.run()):
-                # Mirror the scalar bookkeeping: the lane that executed the
-                # family's prefix reports a miss, every forked lane a hit.
-                result.prefix_cache_hit = hit or not first
-                result.prefix_wall_time = (prefix_elapsed
-                                           if not hit and first
-                                           else fork_elapsed)
-                result.worker_id = worker_id
-                first = False
-                results.append((item.index, result))
-    finally:
-        sut.teardown()
-    return results
-
-
 def shareable_keys_of(families) -> frozenset:
     """Prefix keys that more than one queued spec shares.
 
@@ -372,9 +285,7 @@ def _init_worker(sut_factory: SutFactory,
                  pooling: bool = False,
                  prefix_cache: bool = False,
                  prefix_cache_size: int = DEFAULT_PREFIX_CACHE_SIZE,
-                 shareable_keys: Optional[frozenset] = None,
-                 batch: bool = False,
-                 batch_size: Optional[int] = None) -> None:
+                 shareable_keys: Optional[frozenset] = None) -> None:
     if pooling:
         sut_factory = PooledSutFactory(sut_factory)
     _WORKER_STATE["sut_factory"] = sut_factory
@@ -384,9 +295,6 @@ def _init_worker(sut_factory: SutFactory,
                             sut_token=sut_token(sut_factory),
                             shareable_keys=shareable_keys)
         if prefix_cache else None
-    )
-    _WORKER_STATE["batch_size"] = (
-        (batch_size or DEFAULT_BATCH_SIZE) if batch and prefix_cache else None
     )
 
 
@@ -523,63 +431,14 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("spawn")
 
 
-def _serial_family_batched(family: PrefixFamily,
-                           sut_factory: SutFactory,
-                           classifier: OutcomeClassifier,
-                           cache: PrefixSnapshotCache,
-                           batch_size: int,
-                           policy: Optional[RunPolicy],
-                           on_event: Optional[EventCallback],
-                           ) -> Iterator[IndexedResult]:
-    """Serial flavour of one family's lockstep execution, supervised.
-
-    A lockstep batch does the work of all its lanes in one pass, so the
-    serial deadline covers the whole family at ``timeout_s`` per lane; a
-    timeout, a divergence, or (under a policy) any error resets the worker
-    state and re-runs the family item by item through the ordinary
-    supervised scalar path — retries and quarantine semantics included.
-    """
-    batches, scalar_items = plan_family_batches(family, batch_size,
-                                                batchable_spec)
-    batched = None
-    if batches:
-        lanes = sum(len(batch) for batch in batches)
-        try:
-            if policy is not None and policy.timeout_s:
-                with _serial_deadline(policy.timeout_s * lanes):
-                    batched = _run_family_batched(batches, sut_factory,
-                                                  classifier, cache)
-            else:
-                batched = _run_family_batched(batches, sut_factory,
-                                              classifier, cache)
-        except (BatchDivergenceError, _SerialTimeout):
-            _reset_worker_state(sut_factory, cache)
-        except Exception:  # noqa: BLE001 - policy decides the fate
-            if policy is None:
-                raise
-            _reset_worker_state(sut_factory, cache)
-    if batched is None:
-        scalar_items = family.items
-    else:
-        yield from batched
-    for item in scalar_items:
-        if policy is None:
-            yield _run_item(item, sut_factory, classifier, cache)
-        else:
-            yield _run_item_with_policy(item, sut_factory, classifier, cache,
-                                        policy, on_event)
-
-
 def execute_serial(items: Sequence[WorkItem],
                    sut_factory: "SutFactory | str" = default_sut_factory,
                    classifier: Optional[OutcomeClassifier] = None,
                    pooling: bool = False,
                    prefix_cache: bool = False,
                    prefix_cache_size: int = DEFAULT_PREFIX_CACHE_SIZE,
-                   policy: Optional[RunPolicy] = None,
+                   policy: RunPolicy = LEGACY_POLICY,
                    on_event: Optional[EventCallback] = None,
-                   batch: bool = False,
-                   batch_size: Optional[int] = None,
                    ) -> Iterator[IndexedResult]:
     """Run every item in queue order in this process (the ``jobs=1`` backend).
 
@@ -588,23 +447,17 @@ def execute_serial(items: Sequence[WorkItem],
     bounded LRU of post-prefix snapshots serves every follow-up member of a
     family without re-running its golden bring-up.
 
-    With ``batch`` (implies ``prefix_cache``) each family's steady-state
-    members additionally run in lockstep on one shared simulated state
-    (:mod:`repro.engine.batch`), paying per-lane simulation cost only for
-    lanes whose fault actually fires.
-
-    A ``policy`` adds the serial flavour of supervision: a ``SIGALRM``
-    deadline per experiment, retries with backoff, and quarantine with
-    synthesized infrastructure results. ``None`` keeps the historical
-    contract — exceptions propagate, nothing times out.
+    Every item runs under ``policy``, the serial flavour of supervision: a
+    ``SIGALRM`` deadline per experiment, retries with backoff, and
+    quarantine with synthesized infrastructure results. The default
+    :data:`~repro.engine.supervisor.LEGACY_POLICY` keeps the historical
+    contract — the first exception propagates unchanged, nothing times out.
     """
     classifier = classifier or OutcomeClassifier()
     sut_factory = resolve_sut_factory(sut_factory)
-    prefix_cache = prefix_cache or batch
     if pooling:
         sut_factory = PooledSutFactory(sut_factory)
     cache = None
-    families = None
     if prefix_cache:
         token = sut_token(sut_factory)
         families = group_by_prefix(items, sut_token=token)
@@ -612,18 +465,7 @@ def execute_serial(items: Sequence[WorkItem],
             prefix_cache_size, sut_token=token,
             shareable_keys=shareable_keys_of(families))
         items = [item for family in families for item in family.items]
-    if policy is not None:
-        policy.validate()
-    if batch and families is not None:
-        size = batch_size or DEFAULT_BATCH_SIZE
-        for family in families:
-            yield from _serial_family_batched(family, sut_factory, classifier,
-                                              cache, size, policy, on_event)
-        return
-    if policy is None:
-        for item in items:
-            yield _run_item(item, sut_factory, classifier, cache)
-        return
+    policy.validate()
     for item in items:
         yield _run_item_with_policy(item, sut_factory, classifier, cache,
                                     policy, on_event)
@@ -637,10 +479,8 @@ def execute_pool(items: Sequence[WorkItem],
                  pooling: bool = False,
                  prefix_cache: bool = False,
                  prefix_cache_size: int = DEFAULT_PREFIX_CACHE_SIZE,
-                 policy: Optional[RunPolicy] = None,
+                 policy: RunPolicy = LEGACY_POLICY,
                  on_event: Optional[EventCallback] = None,
-                 batch: bool = False,
-                 batch_size: Optional[int] = None,
                  ) -> Iterator[IndexedResult]:
     """Run items across ``jobs`` supervised worker processes, streaming.
 
@@ -650,10 +490,11 @@ def execute_pool(items: Sequence[WorkItem],
     private pipe, dead workers are respawned with their untouched shard
     requeued, hung experiments are killed by the parent watchdog, and specs
     that fail every retry are quarantined with a synthesized infrastructure
-    result. With ``policy=None`` the historical library contract holds —
-    exceptions propagate and nothing times out — while worker deaths, which
-    previously wedged the pool forever, are still survived up to the default
-    restart budget.
+    result. Under the default
+    :data:`~repro.engine.supervisor.LEGACY_POLICY` the historical library
+    contract holds — exceptions propagate and nothing times out — while
+    worker deaths, which previously wedged the pool forever, are still
+    survived up to the default restart budget.
 
     On clean exhaustion workers are asked to stop and joined; an early exit
     or exception kills busy workers instead, so a consumer that stops
@@ -679,12 +520,10 @@ def execute_pool(items: Sequence[WorkItem],
     """
     jobs = resolve_jobs(jobs)
     sut_factory = resolve_sut_factory(sut_factory)
-    prefix_cache = prefix_cache or batch
     if jobs == 1 or len(items) <= 1:
         yield from execute_serial(items, sut_factory, classifier, pooling,
                                   prefix_cache, prefix_cache_size,
-                                  policy=policy, on_event=on_event,
-                                  batch=batch, batch_size=batch_size)
+                                  policy=policy, on_event=on_event)
         return
     size = chunk_size or 1
     shareable = None
@@ -703,9 +542,8 @@ def execute_pool(items: Sequence[WorkItem],
         jobs=jobs,
         context=_pool_context(),
         init_args=(sut_factory, classifier, pooling,
-                   prefix_cache, prefix_cache_size, shareable,
-                   batch, batch_size),
-        policy=policy or LEGACY_POLICY,
+                   prefix_cache, prefix_cache_size, shareable),
+        policy=policy,
         on_event=on_event,
     )
     yield from pool.run()

@@ -3,8 +3,8 @@
 A worker agent joins a coordinator, pulls shard leases, runs each shard
 through the exact same :class:`~repro.engine.runner.CampaignEngine` a
 single-host campaign uses (``--jobs``, ``--pooling``, ``--prefix-cache``,
-``--batch``, ``--timeout``, ``--retries`` all compose unchanged — the fleet
-adds a layer *above* the engine, not a different engine), and submits the
+``--timeout``, ``--retries`` all compose unchanged — the fleet adds a layer
+*above* the engine, not a different engine), and submits the
 resulting records back. Because leases carry the campaign's declarative
 config dict and the compiled plan is deterministic, every worker derives the
 exact same spec identities from the same wire bytes — that is what makes
@@ -76,8 +76,6 @@ class FleetWorkerAgent:
                  jobs: int = 1,
                  pooling: bool = False,
                  prefix_cache: Optional[bool] = None,
-                 batch: Optional[bool] = None,
-                 batch_size: Optional[int] = None,
                  chunk_size: "int | str | None" = None,
                  timeout_s: Optional[float] = None,
                  retries: Optional[int] = None,
@@ -94,8 +92,6 @@ class FleetWorkerAgent:
         self.jobs = jobs
         self.pooling = pooling
         self.prefix_cache = prefix_cache
-        self.batch = batch
-        self.batch_size = batch_size
         self.chunk_size = chunk_size
         self.timeout_s = timeout_s
         self.retries = retries
@@ -236,9 +232,6 @@ class FleetWorkerAgent:
                 pooling=self.pooling,
                 prefix_cache=self._pick(self.prefix_cache,
                                         bool(engine_opts.get("prefix_cache"))),
-                batch=self._pick(self.batch, bool(engine_opts.get("batch"))),
-                batch_size=self._pick(self.batch_size,
-                                      engine_opts.get("batch_size")),
                 chunk_size=self._pick(self.chunk_size,
                                       engine_opts.get("chunk_size")),
                 timeout_s=self._pick(self.timeout_s,

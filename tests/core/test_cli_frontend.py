@@ -32,6 +32,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--intensity", "extreme"])
 
+    @pytest.mark.parametrize("flag", [["--batch"], ["--batch-size", "4"]])
+    def test_removed_lockstep_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig3", *flag])
+
     def test_check_subcommand_smoke(self, capsys):
         # The contract checker is part of the frontend: clean tree, exit 0.
         code, out, _ = run_cli(capsys, "check")

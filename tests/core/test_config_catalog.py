@@ -229,6 +229,16 @@ class TestConfigErrors:
                 "target": {"kind": "nonroot-trap"},
             })
 
+    @pytest.mark.parametrize("removed", [{"batch": True}, {"batch_size": 4}])
+    def test_removed_lockstep_keys_are_unknown(self, removed):
+        # The batched lockstep core and its [campaign] keys are gone.
+        with pytest.raises(CampaignConfigError,
+                           match=r"unknown \[campaign\] key"):
+            CampaignConfig.from_dict({
+                "campaign": {"name": "x", "intensity": "medium", **removed},
+                "target": {"kind": "nonroot-trap"},
+            })
+
     def test_random_sampling_requires_a_sample_size(self):
         with pytest.raises(CampaignConfigError, match="sample_size"):
             CampaignConfig.from_dict({

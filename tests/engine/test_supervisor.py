@@ -19,7 +19,8 @@ from repro.core.plan import paper_figure3_plan
 from repro.core.registry import RegistrySutFactory
 from repro.engine.quarantine import QuarantineLog, default_quarantine_path
 from repro.engine.scheduler import build_work_queue
-from repro.engine.supervisor import RunPolicy, infra_result
+from repro.engine.runner import CampaignEngine
+from repro.engine.supervisor import LEGACY_POLICY, RunPolicy, infra_result
 from repro.engine.workers import execute_pool, execute_serial
 from repro.errors import CampaignError
 
@@ -229,6 +230,21 @@ class TestPoolSupervision:
         factory = FaultyFactory({queue[0].spec.seed: "raise"})
         with pytest.raises(RuntimeError, match="synthetic fault"):
             list(execute_pool(queue, jobs=2, sut_factory=factory))
+
+
+class TestEnginePolicy:
+    def test_no_knob_runs_under_the_legacy_policy(self, plan):
+        engine = CampaignEngine(plan)
+        assert engine.policy is LEGACY_POLICY
+        assert engine.quarantine is None
+
+    def test_any_knob_opens_the_quarantine_log(self, plan, tmp_path):
+        checkpoint = tmp_path / "records.jsonl"
+        engine = CampaignEngine(plan, retries=1,
+                                checkpoint_path=str(checkpoint))
+        assert engine.policy.retries == 1
+        assert not engine.policy.fail_fast
+        assert str(engine.quarantine.path) == f"{checkpoint}.quarantine"
 
 
 class TestEngineQuarantineFlow:

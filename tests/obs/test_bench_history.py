@@ -118,6 +118,27 @@ class TestGitHistory:
         assert len(entries) == 2
         assert all(entry.commit != "worktree" for entry in entries)
 
+    def test_report_deleted_by_the_newest_commit_keeps_its_history(
+            self, git_repo):
+        write_bench(git_repo, "BENCH_b.json", wall=5.0)
+        git = ["git", "-C", str(git_repo), "-c", "user.name=t",
+               "-c", "user.email=t@t"]
+        subprocess.run([*git, "add", "BENCH_a.json", "BENCH_b.json"],
+                       check=True, capture_output=True)
+        subprocess.run([*git, "commit", "-qm", "add b"], check=True,
+                       capture_output=True)
+        subprocess.run([*git, "rm", "-q", "BENCH_b.json"], check=True,
+                       capture_output=True)
+        subprocess.run([*git, "commit", "-qm", "drop b"], check=True,
+                       capture_output=True)
+        history = collect_bench_history(git_repo)
+        (entry,) = history.entries_by_bench["BENCH_b.json"]
+        assert entry.commit != "worktree"
+        assert entry.subject == "add b"
+        assert entry.metrics["metrics.campaign.wall_s"] == 5.0
+        assert [entry.metrics["metrics.campaign.wall_s"] for entry
+                in history.entries_by_bench["BENCH_a.json"]] == [4.0, 2.0, 1.0]
+
     def test_old_entries_without_machine_block_flag_cross_host(self, git_repo):
         # One "unknown" (pre-block) entry + stamped entries = flagged.
         history = collect_bench_history(git_repo)
